@@ -44,8 +44,7 @@ assert ok
 
 # sanity: links of the reduced system are triangle-free graphs -- that is
 # exactly what star-freeness means pointwise
-worst = max((count_triangles(extract_link(out, v).graph_view(),
-                             method="enumerate")
+worst = max((count_triangles(extract_link(out, v).graph_view())
              for v in range(out.order)), default=0)
 print(f"max triangles over all {out.order} links: {worst}")
 assert worst == 0

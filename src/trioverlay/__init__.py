@@ -16,7 +16,7 @@ from .analysis import (ConcentrationReport, SetClassification, choose2,
 from .baselines import (BaselineResult, edge_deletion_baseline,
                         triangle_free_process)
 from .construction import (BaseGraph, ColoredProductGraph, PlacedGraph,
-                           Placement, apply_deletion_rule, build,
+                           Placement, apply_deletion_rule, build, rebuild,
                            common_neighbor_matrix,
                            common_upper_neighbor_matrix, conormal_product,
                            induce_final_graph, sample_base_graphs,
@@ -41,7 +41,7 @@ __all__ = [
     # construction
     "BaseGraph", "ColoredProductGraph", "Placement", "PlacedGraph",
     "sample_base_graphs", "conormal_product", "apply_deletion_rule",
-    "sample_injection", "induce_final_graph", "build",
+    "sample_injection", "induce_final_graph", "build", "rebuild",
     "common_neighbor_matrix", "common_upper_neighbor_matrix",
     # analysis
     "ConcentrationReport", "concentration_report", "SetClassification",

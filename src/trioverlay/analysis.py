@@ -303,9 +303,7 @@ def edges_are_open_plus(instance: PlacedGraph, I) -> bool:
     I = np.asarray(I, dtype=np.int64)
     rows = instance.placement.rows[I].astype(np.int64)
     cols = instance.placement.cols[I].astype(np.int64)
-    prod = instance.product
-    red = prod.red_row[np.ix_(rows, rows)] & prod.red_col[np.ix_(cols, cols)]
-    blue = prod.blue_row[np.ix_(rows, rows)] & prod.blue_col[np.ix_(cols, cols)]
+    red, blue = instance.product.flag_blocks((rows, cols), (rows, cols))
     adj = red | blue
     comp_r = common_upper_neighbor_matrix(instance.base_red.adj)
     comp_b = common_upper_neighbor_matrix(instance.base_blue.adj)

@@ -84,7 +84,7 @@ def edge_deletion_baseline(n: int, p: float, seed: int) -> BaselineResult:
                 deleted += 1
 
     g = SimpleGraphView.from_edges(n, _mask_edges(rows))
-    assert count_triangles(g, method="bitset") == 0
+    assert count_triangles(g) == 0
     stats = {"m_initial": m0, "triangles_initial": triangles0,
              "edges_deleted": deleted, "m_final": g.m, "p": p}
     return BaselineResult("edge-deletion", n, seed, g, stats)
@@ -145,7 +145,7 @@ def triangle_free_process(n: int, seed: int, max_steps: int | None = None) -> Ba
         open_pairs -= newly
 
     g = SimpleGraphView.from_edges(n, edges)
-    assert count_triangles(g, method="bitset") == 0
+    assert count_triangles(g) == 0
     stats = {"m_final": g.m, "steps": steps, "open_remaining": open_pairs,
              "maximal": open_pairs == 0}
     return BaselineResult("triangle-free-process", n, seed, g, stats)

@@ -23,18 +23,16 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .analysis import classify_sets, concentration_report, f_function, sample_k_sets
 from .baselines import edge_deletion_baseline, triangle_free_process
-from .construction import BaseGraph, Placement, apply_deletion_rule, build, \
-    conormal_product, induce_final_graph
+from .construction import build, rebuild
 from .graphview import count_triangles
 from .hypergraph import extract_link, hyper_product, inject_hyper, \
     s4_reduction, sample_base_3graphs, verify_s4_free
 from .independence import DEFAULT_BUDGET, independence_exact, independence_greedy
 from .params import Params, derive_params, explicit_params, feasible_params
-from .serialize import graph_record, read_instance, triple_record, write_instance
+from .serialize import graph_record, jsonify, read_instance, triple_record, \
+    write_instance
 
 __all__ = ["main"]
 
@@ -65,26 +63,10 @@ def _resolve_params(args) -> Params:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_plain(report), sort_keys=True, indent=1))
+        print(json.dumps(jsonify(report), sort_keys=True, indent=1))
         return
     for line in _render(report):
         print(line)
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _render(report: dict, indent: str = "") -> list[str]:
@@ -100,7 +82,7 @@ def _render(report: dict, indent: str = "") -> list[str]:
                 lines.append(f"{indent}  -")
             lines.pop()
         else:
-            lines.append(f"{indent}{key}: {_plain(val)}")
+            lines.append(f"{indent}{key}: {jsonify(val)}")
     return lines
 
 
@@ -156,20 +138,6 @@ def cmd_hyper(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _placed_from_record(rec):
-    """Rebuild the full instance from stored provenance (bases + placement)."""
-    if (rec.params is None or rec.placement_rows is None
-            or rec.base_red_edges is None or rec.base_blue_edges is None):
-        return None
-    par = rec.params
-    gr = BaseGraph.from_edges("red", par.N, rec.base_red_edges)
-    gb = BaseGraph.from_edges("blue", par.N, rec.base_blue_edges)
-    g2 = apply_deletion_rule(conormal_product(gr, gb), gr, gb)
-    placement = Placement(par.N, rec.placement_rows, rec.placement_cols)
-    return induce_final_graph(g2, placement, params=par, seed=rec.seed,
-                              base_red=gr, base_blue=gb)
-
-
 def _verify_graph(rec, report: dict) -> bool:
     g = rec.graph()
     tri = count_triangles(g)
@@ -186,7 +154,7 @@ def _verify_graph(rec, report: dict) -> bool:
         checks["params_roundtrip"] = \
             Params.from_dict(rec.params.to_dict()) == rec.params
         checks["n_matches_params"] = rec.params.n == rec.n
-    placed = _placed_from_record(rec)
+    placed = rebuild(rec)
     if placed is not None:
         rebuilt = placed.graph.edge_array()
         checks["edges_rederivable"] = (
@@ -267,7 +235,7 @@ def cmd_diagnose(args) -> int:
     rec = read_instance(args.path)
     if rec.kind != "graph":
         raise _Usage("diagnose runs on graph instances")
-    placed = _placed_from_record(rec)
+    placed = rebuild(rec)
     if placed is None:
         print("error: instance lacks provenance (params/placement/base edges);"
               " rebuild with the build subcommand", file=sys.stderr)
@@ -458,13 +426,23 @@ _FLAG_KEYS = {"explicit", "clamp", "json", "exact", "no-adversarial",
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file pairs in front of the explicit flags (last wins)."""
-    if "--config" not in argv:
+    """Splice config-file pairs in front of the explicit flags (last wins).
+
+    ``--config FILE`` or ``--config=FILE`` may stand before or after the
+    subcommand; it is taken out of argv and the file's pairs go right after
+    the subcommand.
+    """
+    for i, arg in enumerate(argv):
+        if arg == "--config" or arg.startswith("--config="):
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise _Usage("--config needs a file path")
-    path = argv[i + 1]
+    if arg == "--config":
+        if i + 1 >= len(argv):
+            raise _Usage("--config needs a file path")
+        path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        path, argv = arg.split("=", 1)[1], argv[:i] + argv[i + 1:]
     injected: list[str] = []
     with open(path) as fh:
         for raw in fh:
@@ -482,9 +460,8 @@ def _apply_config(argv: list[str]) -> list[str]:
                     raise _Usage(f"bad boolean {val!r} for config key {key!r}")
             else:
                 injected.extend((flag, val))
-    # keep the subcommand first, then config pairs, then explicit flags
-    head, rest = argv[:1], argv[1:]
-    return head + injected + rest
+    # the subcommand first, then config pairs, then explicit flags
+    return argv[:1] + injected + argv[1:]
 
 
 def main(argv=None) -> int:

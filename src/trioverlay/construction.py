@@ -38,6 +38,7 @@ __all__ = [
     "BaseGraph", "ColoredProductGraph", "Placement", "PlacedGraph",
     "child_rng", "sample_base_graphs", "conormal_product",
     "apply_deletion_rule", "sample_injection", "induce_final_graph", "build",
+    "rebuild",
     "STREAM_RED", "STREAM_BLUE", "STREAM_PHI",
     "STREAM_HYPER_RED", "STREAM_HYPER_BLUE", "STREAM_HYPER_PHI",
     "STREAM_EDGE_DELETION", "STREAM_PROCESS",
@@ -201,24 +202,23 @@ class ColoredProductGraph:
         return (red.reshape(self.cells, self.cells),
                 blue.reshape(self.cells, self.cells))
 
-    def cell_graph(self, block: int = 1024) -> SimpleGraphView:
+    def flag_blocks(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """(red, blue) flag matrices between two lists of cells.
+
+        a and b are (rows, cols) index-array pairs; entry [s, t] of each
+        matrix is the flag of cell (a[0][s], a[1][s]) against (b[0][t], b[1][t]).
+        """
+        (ra, ca), (rb, cb) = a, b
+        red = self.red_row[np.ix_(ra, rb)] & self.red_col[np.ix_(ca, cb)]
+        blue = self.blue_row[np.ix_(ra, rb)] & self.blue_col[np.ix_(ca, cb)]
+        return red, blue
+
+    def cell_graph(self) -> SimpleGraphView:
         """SimpleGraphView over all N^2 cells (red or blue flag = edge)."""
-        M = self.cells
-        rows = np.arange(M) // self.N
-        cols = np.arange(M) % self.N
-        us, vs = [], []
-        for start in range(0, M, block):
-            stop = min(start + block, M)
-            r, c = rows[start:stop], cols[start:stop]
-            adj = ((self.red_row[np.ix_(r, rows)] & self.red_col[np.ix_(c, cols)]) |
-                   (self.blue_row[np.ix_(r, rows)] & self.blue_col[np.ix_(c, cols)]))
-            a, b = np.nonzero(adj)
-            a = a + start
-            keep = a < b
-            us.append(a[keep])
-            vs.append(b[keep])
-        return SimpleGraphView.from_edge_arrays(
-            M, np.concatenate(us), np.concatenate(vs))
+        ids = np.arange(self.cells)
+        us, vs, _ = _placed_adjacency(self, Placement(self.N, ids // self.N,
+                                                      ids % self.N))
+        return SimpleGraphView.from_edge_arrays(self.cells, us, vs)
 
 
 def conormal_product(gr: BaseGraph, gb: BaseGraph) -> ColoredProductGraph:
@@ -329,9 +329,8 @@ def _placed_adjacency(product: ColoredProductGraph, placement: Placement,
     red_only = blue_only = dual = 0
     for start in range(0, n, block):
         stop = min(start + block, n)
-        r, c = rows[start:stop], cols[start:stop]
-        red = product.red_row[np.ix_(r, rows)] & product.red_col[np.ix_(c, cols)]
-        blue = product.blue_row[np.ix_(r, rows)] & product.blue_col[np.ix_(c, cols)]
+        red, blue = product.flag_blocks((rows[start:stop], cols[start:stop]),
+                                        (rows, cols))
         a, b = np.nonzero(red | blue)
         keep = (a + start) < b
         a, b = a[keep], b[keep]
@@ -369,15 +368,13 @@ def induce_final_graph(g2: ColoredProductGraph, placement: Placement,
                        graph=graph, stats=stats)
 
 
-def build(params: Params, seed: int) -> PlacedGraph:
-    """Full pipeline for one (params, seed) instance."""
-    params.require_injectable()
-    gr, gb = sample_base_graphs(params, seed)
+def _assemble(params: Params, seed: int | None, gr: BaseGraph, gb: BaseGraph,
+              placement: Placement) -> PlacedGraph:
+    """Bases + placement -> deleted product, builder stats, placed graph."""
     g1 = conormal_product(gr, gb)
     flags1 = g1.flag_counts()
     g2 = apply_deletion_rule(g1, gr, gb)
     flags2 = g2.flag_counts()
-    placement = sample_injection(params, seed)
     stats = {
         "edges_base_red": gr.edge_count(),
         "edges_base_blue": gb.edge_count(),
@@ -390,3 +387,26 @@ def build(params: Params, seed: int) -> PlacedGraph:
     }
     return induce_final_graph(g2, placement, params=params, seed=seed,
                               base_red=gr, base_blue=gb, extra_stats=stats)
+
+
+def build(params: Params, seed: int) -> PlacedGraph:
+    """Full pipeline for one (params, seed) instance."""
+    params.require_injectable()
+    gr, gb = sample_base_graphs(params, seed)
+    return _assemble(params, seed, gr, gb, sample_injection(params, seed))
+
+
+def rebuild(rec) -> PlacedGraph | None:
+    """Re-derive a stored graph instance from its provenance.
+
+    rec is a serialize.InstanceRecord; returns None when it lacks the
+    params, the placement or either base edge list.
+    """
+    if (rec.params is None or rec.placement_rows is None
+            or rec.base_red_edges is None or rec.base_blue_edges is None):
+        return None
+    N = rec.params.N
+    return _assemble(rec.params, rec.seed,
+                     BaseGraph.from_edges("red", N, rec.base_red_edges),
+                     BaseGraph.from_edges("blue", N, rec.base_blue_edges),
+                     Placement(N, rec.placement_rows, rec.placement_cols))

@@ -8,8 +8,6 @@ independence code has a single surface to target.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 __all__ = ["SimpleGraphView", "count_triangles"]
@@ -126,7 +124,8 @@ class SimpleGraphView:
             np.concatenate(vs) if vs else np.empty(0, np.int64))
 
 
-def _triangles_bitset(g: SimpleGraphView) -> int:
+def count_triangles(g: SimpleGraphView) -> int:
+    """Exact triangle count by packed-row intersections."""
     packed = g.packed_rows()
     total = 0
     for u in range(g.n):
@@ -138,38 +137,3 @@ def _triangles_bitset(g: SimpleGraphView) -> int:
     if total % 3:
         raise AssertionError("path-count not divisible by 3; adjacency corrupt")
     return total // 3
-
-
-def _triangles_dense(g: SimpleGraphView) -> int:
-    # exact while entries stay below 2^24, i.e. any n this routine is sane for
-    adj = g.to_dense().astype(np.float32)
-    paths = adj @ adj
-    total = float((paths * adj).sum(dtype=np.float64))
-    return int(round(total)) // 6
-
-
-def _triangles_enumerate(g: SimpleGraphView) -> int:
-    dense = g.to_dense()
-    count = 0
-    for a, b, c in combinations(range(g.n), 3):
-        if dense[a, b] and dense[a, c] and dense[b, c]:
-            count += 1
-    return count
-
-
-def count_triangles(g: SimpleGraphView, method: str = "auto") -> int:
-    """Exact triangle count.
-
-    method: "bitset" (default; packed-row intersections), "dense" (cubic
-    matrix product, exhaustive over all triples), or "enumerate" (literal
-    loop over vertex triples, only for small n).
-    """
-    if method == "auto":
-        method = "bitset"
-    if method == "bitset":
-        return _triangles_bitset(g)
-    if method == "dense":
-        return _triangles_dense(g)
-    if method == "enumerate":
-        return _triangles_enumerate(g)
-    raise ValueError(f"unknown method {method!r}")

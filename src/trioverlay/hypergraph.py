@@ -310,6 +310,6 @@ def verify_s4_free(h: TripleSystem) -> bool:
     for v in range(h.order):
         link = extract_link(h, v)
         if link.edge_count() >= 3:
-            if count_triangles(link.graph_view(), method="bitset") > 0:
+            if count_triangles(link.graph_view()) > 0:
                 return False
     return True

@@ -45,14 +45,17 @@ def _bitmask_rows(g: SimpleGraphView) -> list[int]:
 
 
 def is_independent_set(g: SimpleGraphView, vertices) -> bool:
-    vs = sorted(int(v) for v in vertices)
-    if len(set(vs)) != len(vs):
+    """True iff vertices are distinct and pairwise non-adjacent in g."""
+    vs = np.fromiter((int(v) for v in vertices), dtype=np.int64)
+    if vs.size and (vs.min() < 0 or vs.max() >= g.n):
+        raise ValueError("vertex out of range")
+    mark = np.zeros(g.n, dtype=bool)
+    mark[vs] = True
+    if np.count_nonzero(mark) != vs.size:
         return False
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    rows = _bitmask_rows(g)
-    return all(rows[v] & mask == 0 for v in vs)
+    # an edge inside the set is a CSR entry with both ends marked
+    heads = np.repeat(mark, np.diff(g.indptr))
+    return not (heads & mark[g.indices]).any()
 
 
 class _Budget(Exception):

@@ -26,16 +26,17 @@ from .graphview import SimpleGraphView
 from .params import Params
 
 __all__ = ["InstanceRecord", "TripleRecord", "graph_record", "triple_record",
-           "write_instance", "read_instance", "instances_equal"]
+           "write_instance", "read_instance", "instances_equal", "jsonify"]
 
 
-def _jsonify(obj):
+def jsonify(obj):
+    """obj with numpy scalars and arrays turned into plain JSON values."""
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
+        return [jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -46,7 +47,7 @@ def _jsonify(obj):
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=1) + "\n"
+    return json.dumps(jsonify(payload), sort_keys=True, indent=1) + "\n"
 
 
 @dataclass
@@ -197,8 +198,17 @@ def _params_from(obj) -> Params | None:
     return None if obj is None else Params.from_dict(obj)
 
 
-def _edges_array(pairs, n: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+def _entries(raw, width: int) -> np.ndarray:
+    """Entry lines (edges or triples) as a (count, width) int64 array."""
+    arr = np.asarray(raw, dtype=np.int64)
+    if arr.size == 0:
+        return arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"entries must have {width} endpoints each")
+    return arr
+
+
+def _edges_array(arr: np.ndarray, n: int) -> np.ndarray:
     if len(arr) and (arr.min() < 0 or arr.max() >= n):
         raise ValueError("edge endpoint out of range")
     if len(arr) and not (arr[:, 0] < arr[:, 1]).all():
@@ -206,15 +216,17 @@ def _edges_array(pairs, n: int) -> np.ndarray:
     return arr
 
 
-def _from_payload(payload: dict, edges_1based=None, triples_1based=None):
+def _from_payload(payload: dict, body: np.ndarray | None = None):
+    """Record from a parsed payload; body holds the 1-based entry lines of
+    an edge-list file, else the entries come from the payload itself."""
     kind = payload.get("kind", "graph")
     n = int(payload["n"])
     seed = int(payload.get("seed", 0))
     params = _params_from(payload.get("params"))
     stats = payload.get("stats") or {}
     if kind == "graph":
-        raw = edges_1based if edges_1based is not None else payload.get("edges", [])
-        edges = _edges_array([(u - 1, v - 1) for u, v in raw], n)
+        raw = payload.get("edges", []) if body is None else body
+        edges = _edges_array(_entries(raw, 2) - 1, n)
         placement = payload.get("placement")
         rows = cols = None
         if placement is not None:
@@ -225,15 +237,17 @@ def _from_payload(payload: dict, edges_1based=None, triples_1based=None):
         return InstanceRecord(
             n=n, seed=seed, edges=edges, params=params,
             placement_rows=rows, placement_cols=cols,
-            base_red_edges=None if red is None else np.asarray(red, dtype=np.int64).reshape(-1, 2),
-            base_blue_edges=None if blue is None else np.asarray(blue, dtype=np.int64).reshape(-1, 2),
+            base_red_edges=None if red is None else _entries(red, 2),
+            base_blue_edges=None if blue is None else _entries(blue, 2),
             stats=stats)
     if kind == "triples":
-        raw = triples_1based if triples_1based is not None else payload.get("triples", [])
-        triples = [tuple(sorted(int(x) - 1 for x in t)) for t in raw]
-        for t in triples:
-            if t[0] < 0 or t[2] >= n or len(set(t)) != 3:
-                raise ValueError(f"bad triple {t}")
+        raw = payload.get("triples", []) if body is None else body
+        arr = np.sort(_entries(raw, 3), axis=1) - 1
+        bad = (arr[:, 0] < 0) | (arr[:, 2] >= n) | (arr[:, 0] == arr[:, 1]) \
+            | (arr[:, 1] == arr[:, 2])
+        if bad.any():
+            raise ValueError(f"bad triple {tuple(arr[bad.argmax()].tolist())}")
+        triples = list(map(tuple, arr.tolist()))
         cells = payload.get("cells")
         colors = payload.get("colors", "")
         if len(colors) != len(triples):
@@ -264,28 +278,27 @@ def read_instance(path: str):
     if len(head) != 3:
         raise ValueError(f"bad header {lines[0]!r}: want 'n m seed'")
     n, m, seed = (int(x) for x in head)
-    body = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
-    if len(body) != m:
-        raise ValueError(f"header claims {m} lines, found {len(body)}")
-    widths = {len(t) for t in body}
+    if len(lines) - 1 != m:
+        raise ValueError(f"header claims {m} lines, found {len(lines) - 1}")
+    widths = set(map(len, map(str.split, lines[1:])))
     if widths - {2, 3} or len(widths) > 1:
         raise ValueError("mixed or malformed entry lines")
-    is_triples = bool(body) and len(body[0]) == 3
+    width = widths.pop() if widths else 2
+    # the header is the first three tokens, so the rest is the body
+    body = np.array(text.split()[3:], dtype=np.int64).reshape(m, width)
+    kind = "triples" if width == 3 else "graph"
 
     side = _sidecar_path(path)
-    payload = None
     if os.path.exists(side):
         with open(side) as fh:
             payload = json.loads(fh.read())
-        if int(payload.get("n", n)) != n or int(payload.get("m", m)) != m:
+        if (int(payload.get("n", n)) != n or int(payload.get("m", m)) != m
+                or (m and payload.get("kind", "graph") != kind)):
             raise ValueError("sidecar disagrees with edge-file header")
-    if payload is None:
-        kind = "triples" if is_triples else "graph"
+    else:
         payload = {"kind": kind, "n": n, "m": m, "seed": seed,
-                   "colors": "D" * m if is_triples else None}
-    if payload.get("kind") == "triples" or is_triples:
-        return _from_payload(payload, triples_1based=body)
-    return _from_payload(payload, edges_1based=body)
+                   "colors": "D" * m if kind == "triples" else None}
+    return _from_payload(payload, body)
 
 
 def _num_eq(a, b) -> bool:
@@ -325,7 +338,7 @@ def instances_equal(a, b) -> bool:
         return False
     if pa is not None and not _dict_eq(pa, pb):
         return False
-    if not _dict_eq(_jsonify(a.stats), _jsonify(b.stats)):
+    if not _dict_eq(jsonify(a.stats), jsonify(b.stats)):
         return False
     if a.kind == "graph":
         return (_arr_eq(a.edges, b.edges)

@@ -11,10 +11,10 @@ faithfully and left red rather than widened; its message reports the exact
 binomial expectation of the bound-(2) rate next to the observed one.  See
 the README.
 
-Triangle counting method policy: the literal triple loop where it is
-instant (n <= 120), the dense cubic matrix count (equally exhaustive, C
-speed) for larger graphs of instances with N <= 40, packed-bitset
-counting above that.
+Triangle counting policy: the literal triple-loop oracle where it is
+instant (n <= 120), the dense cubic matrix-count oracle (equally
+exhaustive, C speed) for larger graphs of instances with N <= 40, the
+package's packed-bitset counter above that.
 """
 
 import math
@@ -29,9 +29,8 @@ from trioverlay.analysis import (classify_sets, concentration_report,
                                  edges_are_open_plus, f_function,
                                  sample_k_sets)
 from trioverlay.baselines import edge_deletion_baseline, triangle_free_process
-from trioverlay.construction import (BaseGraph, Placement,
-                                     apply_deletion_rule, build,
-                                     conormal_product, induce_final_graph)
+from trioverlay.construction import (BaseGraph, apply_deletion_rule, build,
+                                     conormal_product)
 from trioverlay.graphview import SimpleGraphView, count_triangles
 from trioverlay.hypergraph import (LinkIndex, TripleSystem, extract_link,
                                    hyper_product, inject_hyper, s4_reduction,
@@ -45,7 +44,8 @@ from trioverlay.serialize import (graph_record, instances_equal,
 
 from oracles import (alpha_bruteforce, closed_pairs_bruteforce,
                      deletion_bruteforce, f_reference, flags_of_product,
-                     star_free_bruteforce)
+                     star_free_bruteforce, triangles_bruteforce,
+                     triangles_dense)
 
 
 def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -53,27 +53,19 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"\n[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'}{tail}")
 
 
-def _cell_graph(product) -> SimpleGraphView:
-    """The deleted-stage cell graph, via the identity full-grid placement."""
-    N = product.N
-    ids = np.arange(N * N, dtype=np.int32)
-    full = Placement(N, ids // N, ids % N)
-    return induce_final_graph(product, full).graph
-
-
-def _tri_method(n_vertices: int, N: int) -> str:
+def _triangles(g: SimpleGraphView, N: int) -> int:
     if N > 40:
-        return "bitset"
-    return "enumerate" if n_vertices <= 120 else "dense"
+        return count_triangles(g)
+    edges = g.edge_array().tolist()
+    if g.n <= 120:
+        return triangles_bruteforce(g.n, edges)
+    return triangles_dense(g.n, edges)
 
 
 def _tri_both(inst) -> tuple[int, int]:
     """(triangles in G, triangles in the cell graph G2)."""
     N = inst.product.N
-    tg = count_triangles(inst.graph, method=_tri_method(inst.graph.n, N))
-    cg = _cell_graph(inst.product)
-    tc = count_triangles(cg, method=_tri_method(cg.n, N))
-    return tg, tc
+    return _triangles(inst.graph, N), _triangles(inst.product.cell_graph(), N)
 
 
 def _binomial_mass_outside(m: int, p: float, center: float, tol: float) -> float:

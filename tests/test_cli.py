@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, config files, sweep CSV."""
 
+import hashlib
 import json
 import math
 import os
@@ -66,6 +67,18 @@ class TestBuild:
         rec = read_instance(path)
         assert rec.params.mode == "clamped"
         assert rec.params.N == 32
+
+    def test_golden_bytes(self, tmp_path):
+        # the edge file and sidecar are a pure function of (params, seed);
+        # any refactor of the pipeline or the writer must keep these bytes
+        path = tmp_path / "g.edges"
+        assert run(["build", "--n", "2000", "--clamp", "--seed", "0",
+                    "--out", str(path)]) == 0
+        side = tmp_path / "g.edges.json"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "813822118e0633aa744b9ce4bf978de353576c76799df4f77501c848e0057a3c"
+        assert hashlib.sha256(side.read_bytes()).hexdigest() == \
+            "7841758c7c797297d9b21fbe512603e9d3fa3cb94f8ca41c6d2f053b74a09369"
 
     def test_usage_errors(self, tmp_path):
         assert run(["build"]) == 2                      # no --n
@@ -249,6 +262,16 @@ class TestConfig:
                     "--out", b]) == 0
         ra, rb = read_instance(a), read_instance(b)
         assert ra.seed == 3 and rb.seed == 9
+
+    def test_config_before_subcommand_and_equals_form(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        a = tmp_path / "a.edges"
+        b = tmp_path / "b.edges"
+        cfg.write_text("explicit=yes\nN=6\np=0.4\nn=24\nk=5\nseed=3\n")
+        assert run(["--config", str(cfg), "build", "--out", str(a)]) == 0
+        assert run(["build", f"--config={cfg}", "--out", str(b)]) == 0
+        assert read_instance(str(a)).seed == 3
+        assert a.read_bytes() == b.read_bytes()
 
     def test_config_errors(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

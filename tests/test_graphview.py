@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import triangles_bruteforce
+from oracles import triangles_bruteforce, triangles_dense
 from trioverlay.graphview import SimpleGraphView, count_triangles
 
 
@@ -82,23 +82,15 @@ class TestTriangles:
             edges = random_graph(rng, n, p)
             g = SimpleGraphView.from_edges(n, edges)
             want = triangles_bruteforce(n, edges)
-            assert count_triangles(g, method="bitset") == want
-            assert count_triangles(g, method="dense") == want
-            assert count_triangles(g, method="enumerate") == want
             assert count_triangles(g) == want
+            assert triangles_dense(n, edges) == want
 
     def test_bitset_on_larger_instance(self):
         rng = np.random.default_rng(8)
         n = 300
         edges = random_graph(rng, n, 0.05)
         g = SimpleGraphView.from_edges(n, edges)
-        assert count_triangles(g, method="bitset") == \
-            count_triangles(g, method="dense")
-
-    def test_bad_method(self):
-        g = SimpleGraphView.from_edges(3, [])
-        with pytest.raises(ValueError):
-            count_triangles(g, method="magic")
+        assert count_triangles(g) == triangles_dense(n, edges)
 
 
 class TestPackedRows:

@@ -102,3 +102,15 @@ class TestIsIndependent:
         assert is_independent_set(g, [0, 2, 3])
         assert not is_independent_set(g, [0, 1])
         assert is_independent_set(g, [])
+        assert not is_independent_set(g, [0, 2, 0])
+        for bad in ([0, 4], [-1]):
+            with pytest.raises(ValueError):
+                is_independent_set(g, bad)
+        # against the definition: no edge has both ends in the set
+        rng = np.random.default_rng(26)
+        h = random_graph(rng, 30, 0.1)
+        edges = {tuple(e) for e in h.edge_array().tolist()}
+        for _ in range(50):
+            s = rng.choice(30, size=int(rng.integers(0, 8)), replace=False).tolist()
+            want = not any((u, v) in edges for u in s for v in s)
+            assert is_independent_set(h, s) == want
