@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (PlacedGraph, common_neighbor_matrix,
-                           common_upper_neighbor_matrix)
+                           common_upper_neighbor_matrix, count_matmul)
 
 __all__ = [
     "BoundCheck", "ConcentrationReport", "concentration_report",
@@ -92,9 +92,9 @@ def _cap_check(index, name, values, cap) -> BoundCheck:
 
 
 def _offdiag(mat: np.ndarray) -> np.ndarray:
-    out = np.asarray(mat, dtype=np.int64).copy()
-    np.fill_diagonal(out, 0)
-    return out[np.triu_indices_from(out, 1)]
+    """Entries above the diagonal, row by row."""
+    idx = np.arange(mat.shape[0])
+    return mat[idx[:, None] < idx[None, :]]
 
 
 def concentration_report(gr, gb, placement, params, eps2: float | None = None,
@@ -111,44 +111,50 @@ def concentration_report(gr, gb, placement, params, eps2: float | None = None,
     log3n = math.log(n) ** 3
     pn, pN = params.p * n, params.p * N
 
-    occ = np.zeros((N, N), dtype=np.int64)
+    occ = np.zeros((N, N), dtype=np.float32)
     occ[placement.rows, placement.cols] = 1
-    fib_rows = np.bincount(placement.rows, minlength=N).astype(np.int64)
-    fib_cols = np.bincount(placement.cols, minlength=N).astype(np.int64)
+    fib_rows = np.bincount(placement.rows, minlength=N)
+    fib_cols = np.bincount(placement.cols, minlength=N)
 
-    ar = gr.adj.astype(np.int64)
-    ab = gb.adj.astype(np.int64)
+    ar = gr.adj.astype(np.float32)
+    ab = gb.adj.astype(np.float32)
 
     checks = []
     # (1) fiber sizes around log^2 n
     checks.append(_window_check(
         1, "fiber_size", np.concatenate([fib_rows, fib_cols]), log2n, eps2 * log2n))
     # (2) base degrees around pN
-    degs = np.concatenate([ar.sum(axis=1), ab.sum(axis=1)])
+    degs = np.concatenate([gr.adj.sum(axis=1), gb.adj.sum(axis=1)])
     checks.append(_window_check(2, "base_degree", degs, pN, eps2 * pN))
     # (3) same-side codegrees at most C log n
-    codeg = np.concatenate([_offdiag(ar @ ar), _offdiag(ab @ ab)])
+    codeg = np.concatenate([_offdiag(count_matmul(ar, ar)),
+                            _offdiag(count_matmul(ab, ab))])
     checks.append(_cap_check(3, "base_codegree", codeg, C * math.log(n)))
     # (4) neighborhood-fiber unions around pn
-    n3_red = ar @ fib_rows      # placed cells in neighbor rows, disjoint by row
-    n3_blue = ab @ fib_cols
+    # placed cells in neighbor rows, disjoint by row
+    n3_red = count_matmul(ar, fib_rows)
+    n3_blue = count_matmul(ab, fib_cols)
     checks.append(_window_check(
         4, "union_size", np.concatenate([n3_red, n3_blue]), pn, eps2 * pn))
-    # (5) pairwise intersections of those unions, all distinct vertex pairs
-    same_red = _offdiag(ar @ np.diag(fib_rows) @ ar)
-    same_blue = _offdiag(ab @ np.diag(fib_cols) @ ab)
-    cross = (ar @ occ @ ab).ravel()
+    # (5) pairwise intersections of those unions, all distinct vertex pairs;
+    # scaling column h by its fiber size is the middle diag(fib) factor
+    same_red = _offdiag(count_matmul(ar * fib_rows.astype(np.float32), ar))
+    same_blue = _offdiag(count_matmul(ab * fib_cols.astype(np.float32), ab))
+    red_occ = count_matmul(ar, occ)  # [a-vertex, col]: placed cells in its union
+    cross = count_matmul(red_occ, ab).ravel()
     checks.append(_cap_check(
         5, "union_codegree", np.concatenate([same_red, same_blue, cross]),
         C * log3n))
     # (6) shared columns of the unions, row-side pairs
-    colhit = ((ar @ occ) > 0).astype(np.int64)
+    colhit = (red_occ > 0).astype(np.float32)
     checks.append(_cap_check(
-        6, "column_projection_codegree", _offdiag(colhit @ colhit.T), C * log3n))
+        6, "column_projection_codegree",
+        _offdiag(count_matmul(colhit, colhit.T)), C * log3n))
     # (7) shared rows of the unions, column-side pairs
-    rowhit = ((occ @ ab) > 0).astype(np.int64)  # [row, b-vertex]
+    rowhit = (count_matmul(occ, ab) > 0).astype(np.float32)  # [row, b-vertex]
     checks.append(_cap_check(
-        7, "row_projection_codegree", _offdiag(rowhit.T @ rowhit), C * log3n))
+        7, "row_projection_codegree",
+        _offdiag(count_matmul(rowhit.T, rowhit)), C * log3n))
     return ConcentrationReport(eps2=eps2, C=C, checks=checks)
 
 
@@ -255,28 +261,30 @@ def classify_sets(I, instance: PlacedGraph) -> SetClassification:
     total = I.size * (I.size - 1) // 2
 
     # per-class unions of covered pairs
+    arf = ar.astype(np.float32)
+    abf = ab.astype(np.float32)
     union_pairs = {}
     for nm, mem in class_members.items():
         cover = np.zeros((I.size, I.size), dtype=bool)
         mem_r = mem[mem < N]
         mem_b = mem[mem >= N] - N
         if mem_r.size:
-            m = ar[mem_r].astype(np.int64)
-            cov_rows = (m.T @ m) > 0
+            m = arf[mem_r]
+            cov_rows = count_matmul(m.T, m) > 0
             cover |= cov_rows[np.ix_(rows, rows)]
         if mem_b.size:
-            m = ab[mem_b].astype(np.int64)
-            cov_cols = (m.T @ m) > 0
+            m = abf[mem_b]
+            cov_cols = count_matmul(m.T, m) > 0
             cover |= cov_cols[np.ix_(cols, cols)]
         union_pairs[nm] = int(cover[iu].sum())
 
     # projection sums over the huge class (diagnostics for the budget bounds)
-    occI = np.zeros((N, N), dtype=np.int64)
+    occI = np.zeros((N, N), dtype=np.float32)
     np.add.at(occI, (rows, cols), 1)
-    projB_of_rowbox = ((ar.astype(np.int64) @ occI) > 0).sum(axis=1)
-    projR_of_rowbox = ar.astype(np.int64) @ (rowcnt > 0)
-    projR_of_colbox = ((occI @ ab.astype(np.int64)) > 0).sum(axis=0)
-    projB_of_colbox = ab.astype(np.int64) @ (colcnt > 0)
+    projB_of_rowbox = (count_matmul(arf, occI) > 0).sum(axis=1)
+    projR_of_rowbox = count_matmul(arf, rowcnt > 0)
+    projR_of_colbox = (count_matmul(occI, abf) > 0).sum(axis=0)
+    projB_of_colbox = count_matmul(abf, colcnt > 0)
     huge = class_members["huge"]
     huge_r = huge[huge < N]
     huge_b = huge[huge >= N] - N

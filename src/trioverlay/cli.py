@@ -38,6 +38,7 @@ __all__ = ["main"]
 
 VERSION = "0.1.0"
 SWEEP_SCHEMA = f"# trioverlay sweep schema=1 version={VERSION}"
+SWEEP_CONSTRUCTIONS = ("overlay", "edge-deletion", "process")
 
 
 class _Usage(Exception):
@@ -318,21 +319,29 @@ def cmd_sweep(args) -> int:
         raise _Usage(f"bad sweep grid: {exc}") from None
     if not ns or not constructions:
         raise _Usage("sweep needs --n n1,n2,... and --constructions c1,c2,...")
+    # before --out is opened, so a typo neither truncates it nor wastes cells
+    for construction in constructions:
+        if construction not in SWEEP_CONSTRUCTIONS:
+            raise _Usage(f"unknown construction {construction!r}")
     fields = ["construction", "n", "seed", "edges", "max_degree",
               "alpha_greedy", "alpha_exact", "ratio_greedy", "diag"]
     out = args.out or "sweep.csv"
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir):
         raise FileNotFoundError(f"output directory does not exist: {out_dir}")
-    lines = [SWEEP_SCHEMA, ",".join(fields)]
-    for construction in constructions:
-        for n in ns:
-            for seed in range(args.seeds):
-                row = _sweep_cell(construction, n, seed, args)
-                lines.append(",".join(str(row[f]) for f in fields))
-                print(lines[-1])
+    # each row reaches the file as soon as it is computed, so a failed or
+    # interrupted sweep keeps the rows before it
     with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{SWEEP_SCHEMA}\n{','.join(fields)}\n")
+        fh.flush()
+        for construction in constructions:
+            for n in ns:
+                for seed in range(args.seeds):
+                    row = _sweep_cell(construction, n, seed, args)
+                    line = ",".join(str(row[f]) for f in fields)
+                    fh.write(line + "\n")
+                    fh.flush()
+                    print(line)
     print(f"# wrote {out}")
     return 0
 
@@ -483,6 +492,10 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, FileNotFoundError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as exc:
+        # an instance too large for this machine or for the exact search
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

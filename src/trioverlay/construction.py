@@ -42,7 +42,7 @@ __all__ = [
     "STREAM_RED", "STREAM_BLUE", "STREAM_PHI",
     "STREAM_HYPER_RED", "STREAM_HYPER_BLUE", "STREAM_HYPER_PHI",
     "STREAM_EDGE_DELETION", "STREAM_PROCESS",
-    "common_neighbor_matrix", "common_upper_neighbor_matrix",
+    "common_neighbor_matrix", "common_upper_neighbor_matrix", "count_matmul",
 ]
 
 # labeled child streams of the master seed; fixed forever for reproducibility
@@ -119,18 +119,35 @@ def sample_base_graphs(params: Params, seed: int) -> tuple[BaseGraph, BaseGraph]
     return graphs[0], graphs[1]
 
 
+def count_matmul(a, b) -> np.ndarray:
+    """Exact product a @ b of nonnegative integer or boolean matrices, on BLAS.
+
+    NumPy's integer matmul does not use BLAS.  Every partial sum of an entry
+    of a @ b is an integer at most (max row sum of a) * (max of b); below
+    2^24 float32 holds each of them exactly, whatever order BLAS adds in, so
+    the product runs in float32, and in float64 (exact below 2^53) above.
+    The result keeps that float dtype, with exact integer entries.  Float
+    inputs must hold integers exactly; float32 inputs are used without a copy.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    row_sum = a.sum(axis=-1, dtype=np.float64).max(initial=0.0)
+    bound = row_sum * float(b.max(initial=0))
+    dtype = np.float32 if bound < 2 ** 24 else np.float64
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+
+
 def common_neighbor_matrix(adj: np.ndarray) -> np.ndarray:
     """[u, v] True iff u and v share a neighbor; diagonal True iff deg(u) > 0."""
-    a = adj.astype(np.int32)
-    return (a @ a) > 0
+    a = adj.astype(np.float32)
+    return count_matmul(a, a) > 0
 
 
 def common_upper_neighbor_matrix(adj: np.ndarray) -> np.ndarray:
     """[u, v] True iff some h adjacent to both u and v has h < min(u, v)."""
     N = adj.shape[0]
     below = adj & (np.arange(N)[:, None] < np.arange(N)[None, :])  # [h, u]: h ~ u, h < u
-    b = below.astype(np.int32)
-    return (b.T @ b) > 0
+    b = below.astype(np.float32)
+    return count_matmul(b.T, b) > 0
 
 
 @dataclass

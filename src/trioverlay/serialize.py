@@ -260,6 +260,45 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
     raise ValueError(f"unknown record kind {kind!r}")
 
 
+# what str.split() splits on, and which of those end a line for
+# str.splitlines(); no character above U+3000 is either
+_SPACES = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+           + "".join(map(chr, range(0x2000, 0x200B)))
+           + "\u2028\u2029\u202f\u205f\u3000")
+_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_CHAR_KIND = np.zeros(0x3002, dtype=np.uint8)  # 0 token, 1 space, 2 line break
+_CHAR_KIND[[ord(c) for c in _SPACES]] = 1
+_CHAR_KIND[[ord(c) for c in _BREAKS]] = 2
+
+
+def _line_widths(text: str) -> tuple[np.ndarray, str]:
+    """Token counts of the non-blank lines of text, and the first such line.
+
+    Counts as str.split() on each line of str.splitlines() would, from one
+    code array instead of a Python string per line.
+    """
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:  # one code point per character, so positions index text
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        codes = np.minimum(codes, _CHAR_KIND.size - 1)
+    kind = _CHAR_KIND[codes]
+    token = kind == 0
+    start = token.copy()
+    start[1:] &= ~token[:-1]  # first character of each token
+    brk = kind == 2
+    event = np.flatnonzero(start | brk)  # token starts and line breaks, in order
+    at = np.flatnonzero(brk[event])  # the line breaks among them
+    widths = np.diff(at, prepend=-1, append=event.size) - 1  # tokens per line
+    nonblank = np.flatnonzero(widths)
+    if not nonblank.size:
+        return nonblank, ""
+    first = nonblank[0]
+    lo = event[at[first - 1]] + 1 if first else 0
+    hi = event[at[first]] if first < at.size else len(text)
+    return widths[nonblank], text[lo:hi]
+
+
 def read_instance(path: str):
     """Load a record from an edge-list (with sidecar) or embedded-JSON file."""
     with open(path) as fh:
@@ -271,19 +310,18 @@ def read_instance(path: str):
             raise ValueError("JSON instance file missing format marker")
         return _from_payload(payload)
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    widths, first = _line_widths(text)
+    if not widths.size:
         raise ValueError(f"empty instance file: {path}")
-    head = lines[0].split()
+    head = first.split()
     if len(head) != 3:
-        raise ValueError(f"bad header {lines[0]!r}: want 'n m seed'")
+        raise ValueError(f"bad header {first!r}: want 'n m seed'")
     n, m, seed = (int(x) for x in head)
-    if len(lines) - 1 != m:
-        raise ValueError(f"header claims {m} lines, found {len(lines) - 1}")
-    widths = set(map(len, map(str.split, lines[1:])))
-    if widths - {2, 3} or len(widths) > 1:
+    if widths.size - 1 != m:
+        raise ValueError(f"header claims {m} lines, found {widths.size - 1}")
+    width = int(widths[1]) if m else 2
+    if m and (width not in (2, 3) or (widths[1:] != width).any()):
         raise ValueError("mixed or malformed entry lines")
-    width = widths.pop() if widths else 2
     # the header is the first three tokens, so the rest is the body
     body = np.array(text.split()[3:], dtype=np.int64).reshape(m, width)
     kind = "triples" if width == 3 else "graph"

@@ -7,6 +7,7 @@ The package must agree with these on small instances.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -105,6 +106,69 @@ def flags_of_product(g, N: int):
         if b:
             blue.add((u, v))
     return red, blue
+
+
+# --------------------------------------------- integer count products
+
+
+def common_matrices_int32(adj):
+    """(common, common-upper) neighbour matrices from int32 matmuls."""
+    N = adj.shape[0]
+    a = adj.astype(np.int32)
+    below = (adj & (np.arange(N)[:, None] < np.arange(N)[None, :])).astype(np.int32)
+    return (a @ a) > 0, (below.T @ below) > 0
+
+
+def concentration_int64(gr_adj, gb_adj, rows, cols, params, eps2=None, C=None):
+    """The seven concentration checks as BoundCheck.to_dict() dicts.
+
+    Every count is an int64 matrix product, with diag(fiber sizes) as an
+    explicit middle factor and each off-diagonal taken by triu_indices.
+    """
+    eps2 = params.eps2 if eps2 is None else eps2
+    C = params.C if C is None else C
+    n, N = params.n, params.N
+    log_n = math.log(n)
+    pn, pN = params.p * n, params.p * N
+    ar = gr_adj.astype(np.int64)
+    ab = gb_adj.astype(np.int64)
+    occ = np.zeros((N, N), dtype=np.int64)
+    occ[rows, cols] = 1
+    fib_r = np.bincount(rows, minlength=N).astype(np.int64)
+    fib_c = np.bincount(cols, minlength=N).astype(np.int64)
+    iu = np.triu_indices(N, 1)
+
+    def window(index, name, values, center, tol):
+        dev = np.abs(np.asarray(values, dtype=float) - center)
+        return (index, name, tol, float(dev.max()), int(dev.size),
+                int((dev > tol).sum()))
+
+    def cap(index, name, values, bound):
+        vals = np.asarray(values, dtype=float)
+        return (index, name, bound, float(vals.max()), int(vals.size),
+                int((vals > bound).sum()))
+
+    colhit = ((ar @ occ) > 0).astype(np.int64)
+    rowhit = ((occ @ ab) > 0).astype(np.int64)
+    checks = [
+        window(1, "fiber_size", np.concatenate([fib_r, fib_c]),
+               log_n ** 2, eps2 * log_n ** 2),
+        window(2, "base_degree", np.concatenate([ar.sum(1), ab.sum(1)]),
+               pN, eps2 * pN),
+        cap(3, "base_codegree", np.concatenate([(ar @ ar)[iu], (ab @ ab)[iu]]),
+            C * log_n),
+        window(4, "union_size", np.concatenate([ar @ fib_r, ab @ fib_c]),
+               pn, eps2 * pn),
+        cap(5, "union_codegree", np.concatenate([
+            (ar @ np.diag(fib_r) @ ar)[iu], (ab @ np.diag(fib_c) @ ab)[iu],
+            (ar @ occ @ ab).ravel()]), C * log_n ** 3),
+        cap(6, "column_projection_codegree", (colhit @ colhit.T)[iu],
+            C * log_n ** 3),
+        cap(7, "row_projection_codegree", (rowhit.T @ rowhit)[iu],
+            C * log_n ** 3),
+    ]
+    keys = ("index", "name", "bound", "worst", "n_checked", "n_violations")
+    return [{**dict(zip(keys, c)), "passed": c[5] == 0} for c in checks]
 
 
 # ---------------------------------------------------------- closed pairs

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import trioverlay
+import trioverlay.cli as cli
 from trioverlay.cli import SWEEP_SCHEMA, main
 from trioverlay.serialize import read_instance
 
@@ -233,6 +234,36 @@ class TestSweep:
         assert row[0] == "process"
         assert "maximal=True" in row[8]
 
+    def test_rows_on_disk_before_a_later_cell_fails(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "s.csv")
+        real_cell = cli._sweep_cell
+        seen = []
+
+        def cell(construction, n, seed, args):
+            if seen:
+                seen.append(open(out).read())
+                raise ValueError("second cell failed")
+            seen.append(None)
+            return real_cell(construction, n, seed, args)
+
+        monkeypatch.setattr(cli, "_sweep_cell", cell)
+        assert run(["sweep", "--n", "120,150", "--seeds", "1",
+                    "--constructions", "overlay", "--out", out]) == 1
+        lines = seen[1].splitlines()
+        assert lines[:2] == [SWEEP_SCHEMA, ",".join(
+            ["construction", "n", "seed", "edges", "max_degree",
+             "alpha_greedy", "alpha_exact", "ratio_greedy", "diag"])]
+        assert len(lines) == 3 and lines[2].startswith("overlay,120,0,")
+        assert open(out).read() == seen[1]
+
+    def test_unknown_construction_leaves_out_alone(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_text("kept\n")
+        assert run(["sweep", "--n", "120", "--constructions", "overlay,wat",
+                    "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+        assert capsys.readouterr().out == ""
+
     def test_usage(self, tmp_path):
         assert run(["sweep"]) == 2
         assert run(["sweep", "--n", "abc"]) == 2
@@ -284,6 +315,16 @@ class TestConfig:
 
 
 class TestWiring:
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_errors_exit_1(self, tmp_path, monkeypatch, capsys, exc):
+        def cmd(args):
+            raise exc("too big")
+
+        monkeypatch.setattr(cli, "cmd_verify", cmd)
+        assert run(["verify", str(tmp_path / "x.edges")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {exc.__name__}: too big\n"
+
     def test_module_invocation(self, tmp_path):
         # the child must import the same trioverlay as this process, from
         # any cwd, whether it is installed or only on a relative PYTHONPATH

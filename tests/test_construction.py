@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import (deletion_bruteforce, flags_of_product,
+from oracles import (common_matrices_int32, concentration_int64,
+                     deletion_bruteforce, flags_of_product,
                      product_flags_bruteforce, triangles_bruteforce)
+from trioverlay.analysis import concentration_report
 from trioverlay.construction import (BaseGraph, Placement,
                                      apply_deletion_rule, build, child_rng,
                                      common_neighbor_matrix,
                                      common_upper_neighbor_matrix,
-                                     conormal_product, sample_base_graphs,
-                                     sample_injection)
+                                     conormal_product, count_matmul,
+                                     sample_base_graphs, sample_injection)
 from trioverlay.graphview import count_triangles
 from trioverlay.params import derive_params, explicit_params, feasible_params
 
@@ -82,6 +84,59 @@ class TestCommonNeighborMatrices:
         adj[0, 1] = adj[1, 0] = True
         com = common_neighbor_matrix(adj)
         assert com[0, 0] and com[1, 1] and not com[2, 2]
+
+
+class TestCountMatmul:
+    def test_matches_int64_matmul(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n, k, m = (int(x) for x in rng.integers(1, 40, size=3))
+            for a, b in ((rng.random((n, k)) < 0.3, rng.random((k, m)) < 0.5),
+                         (rng.integers(0, 50, (n, k)), rng.integers(0, 9, (k, m))),
+                         (rng.random((n, k)) < 0.3, rng.integers(0, 7, k))):
+                got = count_matmul(a, b)
+                assert got.dtype == np.float32
+                assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+
+    def test_exact_just_below_2_24(self):
+        # row sums 4096 * entries < 4096: every partial sum is below 2^24
+        rng = np.random.default_rng(6)
+        a = np.ones((3, 4096), dtype=np.int64)
+        b = rng.integers(3000, 4096, (4096, 3))
+        got = count_matmul(a, b)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, a @ b)
+        assert (a @ b).max() > 2 ** 23
+
+    def test_float64_from_2_24(self):
+        got = count_matmul(np.array([[2 ** 24, 1]]), np.array([[1], [1]]))
+        assert got.dtype == np.float64
+        assert got[0, 0] == 2 ** 24 + 1
+
+    def test_deletion_at_derived_scale_matches_int32(self):
+        par = derive_params(10 ** 5)
+        gr, gb = sample_base_graphs(par, 3)
+        g2 = apply_deletion_rule(conormal_product(gr, gb), gr, gb)
+        com_r, up_r = common_matrices_int32(gr.adj)
+        com_b, up_b = common_matrices_int32(gb.adj)
+        assert np.array_equal(g2.red_row, gr.adj & ~up_r)
+        assert np.array_equal(g2.red_col, ~com_b)
+        assert np.array_equal(g2.blue_row, ~com_r)
+        assert np.array_equal(g2.blue_col, gb.adj & ~up_b)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_concentration_report_matches_int64(self, seed):
+        par = derive_params(2 * 10 ** 4)
+        gr, gb = sample_base_graphs(par, seed)
+        pl = sample_injection(par, seed)
+        for eps2, C in ((None, None), (0.3, 0.15)):
+            rep = concentration_report(gr, gb, pl, par, eps2=eps2, C=C)
+            got = [c.to_dict() for c in rep.checks]
+            want = concentration_int64(gr.adj, gb.adj, pl.rows, pl.cols, par,
+                                       eps2=eps2, C=C)
+            assert got == want
+            assert [list(map(type, c.values())) for c in got] == \
+                [list(map(type, c.values())) for c in want]
 
 
 class TestProduct:

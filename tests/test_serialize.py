@@ -10,9 +10,10 @@ from trioverlay.construction import build
 from trioverlay.hypergraph import BLUE, RED
 from trioverlay.hypergraph import TripleSystem
 from trioverlay.params import explicit_params
-from trioverlay.serialize import (InstanceRecord, TripleRecord, graph_record,
-                                  instances_equal, read_instance,
-                                  triple_record, write_instance)
+from trioverlay.serialize import (InstanceRecord, TripleRecord, _line_widths,
+                                  graph_record, instances_equal,
+                                  read_instance, triple_record,
+                                  write_instance)
 
 
 def _placed(seed=0):
@@ -234,6 +235,30 @@ class TestErrors:
         path = self._write(tmp_path, json.dumps(body), "t.json")
         with pytest.raises(ValueError, match="color"):
             read_instance(path)
+
+
+class TestLineWidths:
+    def test_matches_str_split_per_line(self):
+        # the per-line definition the vectorized count replaces
+        def per_line(text):
+            lines = [ln for ln in text.splitlines() if ln.strip()]
+            return [len(ln.split()) for ln in lines], (lines[0] if lines else "")
+
+        alphabet = list("01x \t\n\r\v\f\x00\x1c\x1d\x1e\x1f\x7f"
+                        "\x85\xa0\u2003\u2028\u3000\u3001\xe9")
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 25))))
+            widths, first = _line_widths(text)
+            assert (widths.tolist(), first) == per_line(text), repr(text)
+
+    def test_crlf_tabs_and_blank_lines_parse_alike(self, tmp_path):
+        plain = tmp_path / "a.edges"
+        plain.write_text("4 2 0\n1 2\n3 4\n")
+        odd = tmp_path / "b.edges"
+        odd.write_bytes(b"\r\n 4\t2 0\r\n\r\n1 2\f3\t 4\r\n\n")
+        a, b = read_instance(str(plain)), read_instance(str(odd))
+        assert np.array_equal(a.edges, b.edges) and (a.n, a.seed) == (b.n, b.seed)
 
 
 class TestInstancesEqual:
