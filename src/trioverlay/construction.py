@@ -108,12 +108,14 @@ class BaseGraph:
 def sample_base_graphs(params: Params, seed: int) -> tuple[BaseGraph, BaseGraph]:
     """Two independent binomial graphs on {0..N-1} with edge probability p."""
     N, p = params.N, params.p
-    iu = np.triu_indices(N, 1)
     graphs = []
     for side, stream in (("red", STREAM_RED), ("blue", STREAM_BLUE)):
         rng = child_rng(seed, stream)
         adj = np.zeros((N, N), dtype=bool)
-        adj[iu] = rng.random(iu[0].size) < p
+        # the upper triangle row by row: one stream in row-major order,
+        # without an index or draw array of all N(N-1)/2 pairs
+        for i in range(N - 1):
+            adj[i, i + 1:] = rng.random(N - 1 - i) < p
         adj |= adj.T
         graphs.append(BaseGraph(side, N, adj))
     return graphs[0], graphs[1]

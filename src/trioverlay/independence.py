@@ -8,12 +8,14 @@ valid independent set) is returned with optimal=False.
 Heuristic: best of the max-degree neighborhood (independent whenever the
 graph is triangle-free, which gives alpha >= max degree there) and repeated
 min-degree greedy passes with random tie-breaking, then a (1,2)-swap local
-improvement.  Certificates are validated before returning.
+improvement.  A greedy pass runs over the CSR arrays with a degree array and
+a key array (no heap): each step is one argmin over the live vertices and
+one gather of the removed neighbourhood's neighbour lists.  Certificates are
+validated before returning.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,26 +125,53 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
     return IndependenceResult("exact", value, cert, optimal, nodes[0])
 
 
+_DEAD = np.iinfo(np.int64).max  # degree of a removed vertex
+
+
 def _greedy_min_degree(g: SimpleGraphView, rng) -> list[int]:
+    """Min-degree greedy with random tie-breaks, over the CSR arrays.
+
+    Each step takes the live vertex with the smallest (degree, key, index),
+    where key is its latest tie-break draw, and removes it with its live
+    neighbours w_0, w_1, ... (CSR order).  Removing w_i decrements every
+    vertex still live then, i.e. live and not some w_j with j <= i, and gives
+    it a fresh key.  Draws: rng.random(n) for the initial keys, then one per
+    decrement in that loop order; a vertex decremented twice keeps its last.
+    This is the output and the draw stream of a lazy-deletion heap with one
+    push per decrement, whose only valid entry per vertex is its latest.
+    """
     n = g.n
-    deg = g.degree_sequence().astype(np.int64).copy()
-    alive = np.ones(n, dtype=bool)
-    heap = [(int(deg[v]), rng.random(), v) for v in range(n)]
-    heapq.heapify(heap)
+    indptr, indices = g.indptr, g.indices
+    deg = g.degree_sequence().astype(np.int64)
+    key = rng.random(n)
+    rank = np.full(n, n, dtype=np.int64)  # position among the step's w_i
     chosen = []
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if not alive[v] or d != deg[v]:
-            continue
+    while True:
+        d = deg.min(initial=_DEAD)
+        if d == _DEAD:
+            break
+        ties = np.flatnonzero(deg == d)
+        v = int(ties[np.argmin(key[ties])])
         chosen.append(v)
-        alive[v] = False
-        for w in g.neighbors(v).tolist():
-            if alive[w]:
-                alive[w] = False
-                for x in g.neighbors(w).tolist():
-                    if alive[x]:
-                        deg[x] -= 1
-                        heapq.heappush(heap, (int(deg[x]), rng.random(), x))
+        deg[v] = _DEAD
+        nb = indices[indptr[v]:indptr[v + 1]]
+        ws = nb[deg[nb] != _DEAD]
+        if not ws.size:
+            continue
+        rank[ws] = np.arange(ws.size)
+        # neighbour lists of w_0, w_1, ... concatenated; owner[t] = i of x_t
+        lens = indptr[ws + 1] - indptr[ws]
+        owner = np.repeat(np.arange(ws.size), lens)
+        xs = indices[np.arange(owner.size)
+                     + np.repeat(indptr[ws] - (np.cumsum(lens) - lens), lens)]
+        xs = xs[(deg[xs] != _DEAD) & (rank[xs] > owner)]
+        draws = rng.random(xs.size)
+        # first occurrence in reverse = last decrement of each vertex
+        hit, last, count = np.unique(xs[::-1], return_index=True,
+                                     return_counts=True)
+        deg[hit] -= count
+        key[hit] = draws[xs.size - 1 - last]
+        deg[ws] = _DEAD
     return chosen
 
 

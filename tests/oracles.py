@@ -7,6 +7,7 @@ The package must agree with these on small instances.
 
 from __future__ import annotations
 
+import heapq
 import math
 from functools import lru_cache
 from itertools import combinations
@@ -57,6 +58,15 @@ def product_flags_bruteforce(gr_edges, gb_edges, N: int):
         if u[1] != v[1] and (min(u[1], v[1]), max(u[1], v[1])) in eb:
             blue.add((u, v))
     return red, blue
+
+
+def base_adjacency_oneshot(rng, N: int, p: float) -> np.ndarray:
+    """One base adjacency: all upper-triangle draws at once, row-major."""
+    iu = np.triu_indices(N, 1)
+    adj = np.zeros((N, N), dtype=bool)
+    adj[iu] = rng.random(iu[0].size) < p
+    adj |= adj.T
+    return adj
 
 
 def _neighbors(edges, N):
@@ -196,6 +206,30 @@ def closed_pairs_bruteforce(I_rows, I_cols, gr_edges, gb_edges, N: int,
 
 
 # ---------------------------------------------------------- independence
+
+
+def greedy_min_degree_heap(g, rng) -> list[int]:
+    """Min-degree greedy on a lazy-deletion heap, one push per decrement."""
+    n = g.n
+    deg = g.degree_sequence().astype(np.int64).copy()
+    alive = np.ones(n, dtype=bool)
+    heap = [(int(deg[v]), rng.random(), v) for v in range(n)]
+    heapq.heapify(heap)
+    chosen = []
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if not alive[v] or d != deg[v]:
+            continue
+        chosen.append(v)
+        alive[v] = False
+        for w in g.neighbors(v).tolist():
+            if alive[w]:
+                alive[w] = False
+                for x in g.neighbors(w).tolist():
+                    if alive[x]:
+                        deg[x] -= 1
+                        heapq.heappush(heap, (int(deg[x]), rng.random(), x))
+    return chosen
 
 
 def alpha_bruteforce(n: int, edges) -> int:

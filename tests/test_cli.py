@@ -169,6 +169,23 @@ class TestAlpha:
                     "--n", "16", "--k", "3", "--out", path]) == 0
         assert run(["alpha", path]) == 2
 
+    def test_golden_greedy(self, tmp_path, capsys):
+        # the test_golden_bytes instance: any rewrite of the greedy must keep
+        # its values and certificate (stdout names the temporary path, so the
+        # certificate list is hashed, not the whole report)
+        path = str(tmp_path / "g.edges")
+        assert run(["build", "--n", "2000", "--clamp", "--seed", "0",
+                    "--out", path]) == 0
+        capsys.readouterr()
+        assert run(["alpha", path, "--method", "greedy", "--json"]) == 0
+        greedy = json.loads(capsys.readouterr().out)["greedy"]
+        assert greedy["value"] == 831
+        cert = json.dumps(greedy["certificate"]).encode()
+        assert hashlib.sha256(cert).hexdigest() == \
+            "d976f967a6208c157fa5246c27f815a9a99c2a9c4ae598b344e47a39112fe675"
+        assert run(["verify", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha_greedy"] == 831
+
 
 class TestDiagnose:
     def test_full_report(self, tmp_path, capsys):

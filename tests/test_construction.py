@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import (common_matrices_int32, concentration_int64,
-                     deletion_bruteforce, flags_of_product,
+from oracles import (base_adjacency_oneshot, common_matrices_int32,
+                     concentration_int64, deletion_bruteforce, flags_of_product,
                      product_flags_bruteforce, triangles_bruteforce)
 from trioverlay.analysis import concentration_report
-from trioverlay.construction import (BaseGraph, Placement,
-                                     apply_deletion_rule, build, child_rng,
-                                     common_neighbor_matrix,
+from trioverlay.construction import (STREAM_BLUE, STREAM_RED, BaseGraph,
+                                     Placement, apply_deletion_rule, build,
+                                     child_rng, common_neighbor_matrix,
                                      common_upper_neighbor_matrix,
                                      conormal_product, count_matmul,
                                      sample_base_graphs, sample_injection)
@@ -50,6 +50,18 @@ class TestBaseSampling:
                   for s in range(200)]
         sigma = np.sqrt(1225 * 0.3 * 0.7)
         assert abs(np.mean(counts) - 367.5) < 3 * sigma / np.sqrt(200)
+
+    def test_rowwise_draws_match_oneshot(self):
+        # row-by-row sampling reads the same stream as one draw of the whole
+        # upper triangle, so the bases are the same bytes
+        for N, p in ((2, 0.5), (2, 1.0), (3, 0.5), (3, 0.3), (4, 0.7),
+                     (17, 0.2), (64, 0.05), (118, 0.0152)):
+            for seed in (0, 1, 7):
+                gr, gb = sample_base_graphs(tiny_params(N, p), seed)
+                for g, stream in ((gr, STREAM_RED), (gb, STREAM_BLUE)):
+                    want = base_adjacency_oneshot(child_rng(seed, stream), N, p)
+                    assert g.adj.dtype == want.dtype
+                    assert (g.adj == want).all(), (N, p, seed, g.side)
 
     def test_adjacency_invariants(self):
         gr, gb = random_bases(7, 0.6, seed=3)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import alpha_bruteforce
+from oracles import alpha_bruteforce, greedy_min_degree_heap
+from trioverlay.construction import build, child_rng
 from trioverlay.graphview import SimpleGraphView, count_triangles
-from trioverlay.independence import (independence_exact, independence_greedy,
-                                     is_independent_set)
+from trioverlay.independence import (_greedy_min_degree, independence_exact,
+                                     independence_greedy, is_independent_set)
+from trioverlay.params import feasible_params
 
 
 def random_graph(rng, n, p):
@@ -90,6 +92,35 @@ class TestGreedy:
         a = independence_greedy(g, restarts=3, seed=7)
         b = independence_greedy(g, restarts=3, seed=7)
         assert a.value == b.value and a.certificate == b.certificate
+
+    @staticmethod
+    def assert_same_as_heap(g, seed):
+        # same chosen list, and the same draws consumed
+        ours, heap = child_rng(seed, 63), child_rng(seed, 63)
+        assert _greedy_min_degree(g, ours) == greedy_min_degree_heap(g, heap)
+        assert ours.random() == heap.random()
+
+    def test_min_degree_matches_heap(self):
+        rng = np.random.default_rng(27)
+        for trial in range(320):
+            n = int(rng.integers(1, 61))
+            p = float(rng.random()) ** 2  # sparse through dense, triangles kept
+            g = random_graph(rng, n, p)
+            if trial % 4 == 0 and n > 1:
+                # isolated vertices: pad with edge-free vertices, interleaved
+                extra = int(rng.integers(1, 10))
+                perm = rng.permutation(n + extra)
+                arr = g.edge_array()
+                g = SimpleGraphView.from_edge_arrays(
+                    n + extra, perm[arr[:, 0]], perm[arr[:, 1]])
+            self.assert_same_as_heap(g, trial)
+        for n in (1, 2, 7):  # m = 0, n = 1 included
+            self.assert_same_as_heap(SimpleGraphView.from_edges(n, []), n)
+        self.assert_same_as_heap(SimpleGraphView.from_edges(2, [(0, 1)]), 0)
+
+    def test_min_degree_matches_heap_on_instance(self):
+        g = build(feasible_params(2000), 0).graph
+        self.assert_same_as_heap(g, 1)
 
     def test_empty_graph(self):
         g = SimpleGraphView.from_edges(5, [])
