@@ -4,6 +4,11 @@ Both are classical: delete one edge per triangle of a binomial random graph,
 or grow a maximal triangle-free graph by the random greedy process.  They
 exist to calibrate edge counts and independence numbers at equal n, not to
 compete at scale.
+
+The deletion baseline is computed from its definition on edge arrays.  The
+process keeps its uniform pair draws and their order exactly, but draws them
+in chunks and skips rejections in bulk; it holds an n x n bool matrix of
+closed pairs (n^2 bytes).
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ from .graphview import SimpleGraphView, count_triangles
 
 __all__ = ["BaselineResult", "edge_deletion_baseline", "triangle_free_process"]
 
+# uint64 words per block of the deletion test; caps its temporaries at 8 MB
+_TEST_WORDS = 1 << 20
+# pair draws per chunk of the process
+_CHUNK_MIN, _CHUNK_MAX = 16, 65536
+
 
 @dataclass(frozen=True)
 class BaselineResult:
@@ -27,66 +37,44 @@ class BaselineResult:
     stats: dict
 
 
-def _sample_gnp_rows(n: int, p: float, rng) -> list[int]:
-    """Adjacency as python-int bitmasks, sampled row by row above diagonal."""
-    rows = [0] * n
-    for u in range(n - 1):
-        keep = np.nonzero(rng.random(n - u - 1) < p)[0]
-        for off in keep:
-            v = u + 1 + int(off)
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return rows
-
-
-def _mask_edges(rows: list[int]) -> list[tuple[int, int]]:
-    edges = []
-    for u, mask in enumerate(rows):
-        m = mask >> (u + 1) << (u + 1)
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            m ^= bit
-            edges.append((u, v))
-    return edges
-
-
 def edge_deletion_baseline(n: int, p: float, seed: int) -> BaselineResult:
-    """G(n, p), then one pass over triangles deleting each one's least edge.
+    """G(n, p) minus every edge (a, b), a < b, with a common neighbour c > b.
 
-    Triangles are enumerated in lexicographic order (a < b < c); a triangle
-    still intact when reached loses its lexicographically least edge (a, b).
-    Single pass: edges deleted earlier may already have destroyed it.
+    This is the single lexicographic pass over triangles (a < b < c) that
+    deletes the least edge (a, b) of each triangle still intact when reached.
+    The pass reads pairs above b only, where no earlier deletion has changed
+    anything, so its outcome does not depend on the order it runs in.  Pairs
+    (u, v > u) are drawn row by row, as ``rng.random(n - u - 1) < p``.
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and 0 <= p <= 1")
     rng = child_rng(seed, STREAM_EDGE_DELETION)
-    rows = _sample_gnp_rows(n, p, rng)
-    m0 = sum(r.bit_count() for r in rows) // 2
-    g0 = SimpleGraphView.from_edges(n, _mask_edges(rows))
-    triangles0 = count_triangles(g0)
+    rows = [np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1)
+            for u in range(n - 1)]
+    us = np.repeat(np.arange(n - 1, dtype=np.int64), [r.size for r in rows])
+    vs = np.concatenate(rows) if rows else np.empty(0, np.int64)
 
-    deleted = 0
-    for a in range(n - 2):
-        ma = rows[a] >> (a + 1) << (a + 1)
-        while ma:
-            bit = ma & -ma
-            b = bit.bit_length() - 1
-            ma ^= bit
-            common = rows[a] & rows[b]
-            common >>= b + 1
-            common <<= b + 1
-            if common:
-                # some triangle (a, b, c>b) is intact when reached, and
-                # (a, b) is its lex-least edge: drop it
-                rows[a] &= ~(1 << b)
-                rows[b] &= ~(1 << a)
-                deleted += 1
+    # bitset rows: above[b] holds the neighbours of b above b, packed[a] all
+    # neighbours of a
+    def bits(x):
+        return np.uint64(1) << (x & 63).astype(np.uint64)
+    above = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(above, (us, vs >> 6), bits(vs))
+    packed = above.copy()
+    np.bitwise_or.at(packed, (vs, us >> 6), bits(us))
+    # N(a) & above(b) over edge (a, b) holds the c of each triangle a < b < c
+    # once: its size sums to the triangle count, and (a, b) goes iff nonempty
+    apexes = np.zeros(us.size, dtype=np.int64)
+    block = max(1, _TEST_WORDS // above.shape[1])
+    for s in range(0, us.size, block):
+        common = packed[us[s:s + block]] & above[vs[s:s + block]]
+        apexes[s:s + block] = np.bitwise_count(common).sum(axis=1)
+    doomed = apexes > 0
 
-    g = SimpleGraphView.from_edges(n, _mask_edges(rows))
+    g = SimpleGraphView.from_edge_arrays(n, us[~doomed], vs[~doomed])
     assert count_triangles(g) == 0
-    stats = {"m_initial": m0, "triangles_initial": triangles0,
-             "edges_deleted": deleted, "m_final": g.m, "p": p}
+    stats = {"m_initial": int(us.size), "triangles_initial": int(apexes.sum()),
+             "edges_deleted": int(doomed.sum()), "m_final": g.m, "p": p}
     return BaselineResult("edge-deletion", n, seed, g, stats)
 
 
@@ -94,58 +82,60 @@ def triangle_free_process(n: int, seed: int, max_steps: int | None = None) -> Ba
     """Random greedy triangle-free graph: insert uniform open pairs until none.
 
     A pair is open while it is a non-edge whose insertion closes no triangle.
-    Uniformity is exact: each step draws uniformly from all pairs and rejects
-    non-open ones (the open count is tracked, so termination is detected
-    without a scan).
+    Uniformity is exact: each attempt draws u, then v, uniformly from
+    range(n), and an attempt whose pair is not open is rejected.  Attempts
+    are drawn in chunks of about the expected wait, with one
+    ``rng.integers(n, size=2k)`` per chunk; numpy gives that the same values
+    as 2k scalar draws.  A rejection changes nothing, so the next step is the
+    first attempt of the chunk whose pair is open, and after each step only
+    the rest of the chunk is tested again.  Draws past the last step are
+    discarded with the generator.  The open count is tracked, so termination
+    is detected without a scan.
+
+    Closed pairs (edges and pairs that would close a triangle) are an n x n
+    bool matrix, n^2 bytes.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    limit = n * n if max_steps is None else max_steps
     rng = child_rng(seed, STREAM_PROCESS)
-    rows = [0] * n
+    # the diagonal is closed, so an attempt with u == v is rejected too
+    closed = np.eye(n, dtype=bool)
+    nbrs = [[] for _ in range(n)]
+    heads, tails = [], []
     open_pairs = n * (n - 1) // 2
-    # closed[u] bit v set when (u, v) is an edge or closes a triangle
-    closed = [0] * n
-    steps = 0
-    edges = []
-    while open_pairs > 0:
-        if max_steps is not None and steps >= max_steps:
-            break
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v or (closed[u] >> v) & 1:
-            continue
-        steps += 1
-        # count newly closed pairs: the edge itself plus, for each neighbor w
-        # of u, the pair (w, v) if previously open, and symmetrically
-        newly = 1
-        closed[u] |= 1 << v
-        closed[v] |= 1 << u
-        mu, mv = rows[u], rows[v]
-        m = mu
-        while m:
-            bit = m & -m
-            w = bit.bit_length() - 1
-            m ^= bit
-            if w != v and not (closed[w] >> v) & 1:
-                closed[w] |= 1 << v
-                closed[v] |= 1 << w
-                newly += 1
-        m = mv
-        while m:
-            bit = m & -m
-            w = bit.bit_length() - 1
-            m ^= bit
-            if w != u and not (closed[w] >> u) & 1:
-                closed[w] |= 1 << u
-                closed[u] |= 1 << w
-                newly += 1
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        edges.append((min(u, v), max(u, v)))
-        open_pairs -= newly
+    while open_pairs > 0 and len(heads) < limit:
+        # n^2 ordered draws hold 2 * open_pairs open ones
+        k = min(max(n * n // (2 * open_pairs), _CHUNK_MIN), _CHUNK_MAX)
+        draws = rng.integers(n, size=2 * k)
+        us, vs = draws[0::2], draws[1::2]
+        hits = np.flatnonzero(~closed[us, vs])
+        for u, v in zip(us[hits].tolist(), vs[hits].tolist()):
+            # open at the start of the chunk; an earlier step may have closed it
+            if closed[u, v]:
+                continue
+            closed[u, v] = closed[v, u] = True
+            # newly closed: the edge, each open (w, v) for w in N(u), and
+            # each open (w, u) for w in N(v)
+            newly = 1
+            for a, b in ((u, v), (v, u)):
+                if nbrs[a]:
+                    ws = np.array(nbrs[a])
+                    ws = ws[~closed[ws, b]]
+                    closed[ws, b] = closed[b, ws] = True
+                    newly += ws.size
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            heads.append(u)
+            tails.append(v)
+            open_pairs -= newly
+            if open_pairs == 0 or len(heads) == limit:
+                break
 
-    g = SimpleGraphView.from_edges(n, edges)
+    g = SimpleGraphView.from_edge_arrays(n, heads, tails)
     assert count_triangles(g) == 0
-    stats = {"m_final": g.m, "steps": steps, "open_remaining": open_pairs,
+    stats = {"m_final": g.m, "steps": len(heads), "open_remaining": open_pairs,
              "maximal": open_pairs == 0}
     return BaselineResult("triangle-free-process", n, seed, g, stats)

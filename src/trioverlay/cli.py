@@ -323,6 +323,8 @@ def cmd_sweep(args) -> int:
     for construction in constructions:
         if construction not in SWEEP_CONSTRUCTIONS:
             raise _Usage(f"unknown construction {construction!r}")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise _Usage("--max-steps must be >= 0")
     fields = ["construction", "n", "seed", "edges", "max_degree",
               "alpha_greedy", "alpha_exact", "ratio_greedy", "diag"]
     out = args.out or "sweep.csv"

@@ -7,8 +7,19 @@ import pytest
 
 from trioverlay.baselines import edge_deletion_baseline, triangle_free_process
 from trioverlay.graphview import count_triangles
+from trioverlay.params import feasible_params
 
-from oracles import triangles_bruteforce
+from oracles import (edge_deletion_loop, triangle_free_process_scalar,
+                     triangles_bruteforce)
+
+
+def assert_same_result(got, want):
+    assert got.name == want.name
+    assert got.graph.n == want.graph.n
+    for field in ("indptr", "indices"):
+        a, b = getattr(got.graph, field), getattr(want.graph, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert got.stats == want.stats
 
 
 class TestEdgeDeletion:
@@ -145,6 +156,8 @@ class TestTriangleFreeProcess:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             triangle_free_process(1, seed=0)
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            triangle_free_process(10, seed=0, max_steps=-1)
 
 
 class TestResultShape:
@@ -163,3 +176,47 @@ class TestResultShape:
         ea = {tuple(e) for e in a.graph.edge_array()}
         eb = {tuple(e) for e in b.graph.edge_array()}
         assert ea != eb
+
+
+# ------------------------------------------------- equivalence with the loops
+
+
+def test_process_matches_scalar():
+    # batched draws against one scalar draw per attempt: same graph, stats
+    for n in range(2, 41):
+        for seed in range(3):
+            for max_steps in (None, 0, 1, 5, 17):
+                assert_same_result(
+                    triangle_free_process(n, seed, max_steps=max_steps),
+                    triangle_free_process_scalar(n, seed, max_steps=max_steps))
+    for n in (150, 253):
+        assert_same_result(triangle_free_process(n, seed=0),
+                           triangle_free_process_scalar(n, seed=0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 253, 2**31, 2**33])
+def test_chunked_draws_match_scalar_draws(n):
+    # the process draws its attempts in chunks; this is the numpy behaviour
+    # that keeps its stream, and its graphs, those of one draw per call
+    chunks = [1, 2, 3, 997, 1, 3997, 2, 3]
+    batched = np.random.default_rng(11)
+    scalar = np.random.default_rng(11)
+    for k in chunks:
+        got = batched.integers(n, size=k)
+        want = [scalar.integers(n) for _ in range(k)]
+        assert got.tolist() == [int(x) for x in want], k
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def test_edge_deletion_matches_loop():
+    # the definition against the lexicographic bit loop it replaces
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 91))
+        p = float(rng.random())
+        seed = int(rng.integers(0, 10_000))
+        assert_same_result(edge_deletion_baseline(n, p, seed),
+                           edge_deletion_loop(n, p, seed))
+    p = feasible_params(2000).p
+    assert_same_result(edge_deletion_baseline(2000, p, 0),
+                       edge_deletion_loop(2000, p, 0))

@@ -281,6 +281,29 @@ class TestSweep:
         assert out.read_text() == "kept\n"
         assert capsys.readouterr().out == ""
 
+    def test_golden_baselines(self, tmp_path):
+        # the process and edge-deletion rows at two sizes, byte for byte;
+        # the process rows have 1757, 1773, 4066 and 4019 edges, all maximal
+        out = tmp_path / "golden.csv"
+        assert run(["sweep", "--n", "150,253", "--seeds", "2",
+                    "--constructions", "process,edge-deletion",
+                    "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+        assert [(r[0], int(r[3])) for r in rows[:4]] == [
+            ("process", 1757), ("process", 1773),
+            ("process", 4066), ("process", 4019)]
+        assert all(r[8].endswith("maximal=True") for r in rows[:4])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "b5d1305f508a776d26019eda3dc9a36f5a91afa87c3b2e2d7181df7d28c3a32d"
+
+    def test_negative_max_steps_leaves_out_alone(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_text("kept\n")
+        assert run(["sweep", "--n", "20", "--constructions", "process",
+                    "--max-steps", "-1", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+        assert capsys.readouterr().out == ""
+
     def test_usage(self, tmp_path):
         assert run(["sweep"]) == 2
         assert run(["sweep", "--n", "abc"]) == 2
