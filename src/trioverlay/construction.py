@@ -81,28 +81,21 @@ class BaseGraph:
 
     @classmethod
     def from_edges(cls, side: str, N: int, edges) -> "BaseGraph":
+        """Graph on {0..N-1} from an (m, 2) array or sequence of pairs."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= N):
+            raise ValueError(f"{side} base edge endpoint outside 0..{N - 1}")
+        us, vs = edges.T
         adj = np.zeros((N, N), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loop")
-            adj[u, v] = adj[v, u] = True
-        return cls(side, N, adj)
+        adj[us, vs] = adj[vs, us] = True
+        return cls(side, N, adj)  # rejects self-loops
 
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self.adj, 1))
-        return [(int(u), int(v)) for u, v in zip(us, vs)]
-
-    def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.nonzero(self.adj[v])[0]
-
-    def view(self) -> SimpleGraphView:
-        return SimpleGraphView.from_dense(self.adj)
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) int array of edges with u < v, lexicographically sorted."""
+        return np.argwhere(np.triu(self.adj, 1))
 
 
 def sample_base_graphs(params: Params, seed: int) -> tuple[BaseGraph, BaseGraph]:
@@ -173,9 +166,6 @@ class ColoredProductGraph:
     @property
     def cells(self) -> int:
         return self.N * self.N
-
-    def cell_id(self, i: int, j: int) -> int:
-        return i * self.N + j
 
     def edge_flags(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[bool, bool]:
         """(red, blue) flags of the pair of distinct cells a, b."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ def jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -103,8 +104,8 @@ def graph_record(placed) -> InstanceRecord:
         params=placed.params,
         placement_rows=placed.placement.rows.copy(),
         placement_cols=placed.placement.cols.copy(),
-        base_red_edges=placed.base_red.edge_list(),
-        base_blue_edges=placed.base_blue.edge_list(),
+        base_red_edges=placed.base_red.edge_array(),
+        base_blue_edges=placed.base_blue.edge_array(),
         stats=dict(placed.stats),
     )
 
@@ -127,38 +128,30 @@ def _sidecar_path(path: str) -> str:
     return path + ".json"
 
 
-def _record_payload(rec) -> dict:
+def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
+    """The key of rec's entries, the entries as one (m, w) int64 array
+    (0-based; w = 2 for edges, 3 for triples) and rec's sidecar payload."""
     if rec.kind == "graph":
-        payload = {
-            "kind": "graph",
-            "n": rec.n,
-            "m": len(rec.edges),
-            "seed": rec.seed,
-            "params": None if rec.params is None else rec.params.to_dict(),
-            "placement": None,
-            "base_red_edges": None if rec.base_red_edges is None
-            else rec.base_red_edges,
-            "base_blue_edges": None if rec.base_blue_edges is None
-            else rec.base_blue_edges,
-            "stats": rec.stats,
-        }
-        if rec.placement_rows is not None:
-            payload["placement"] = {"rows": rec.placement_rows,
-                                    "cols": rec.placement_cols}
-        return payload
-    if rec.kind == "triples":
-        return {
-            "kind": "triples",
-            "n": rec.n,
-            "m": len(rec.triples),
-            "seed": rec.seed,
-            "params": None if rec.params is None else rec.params.to_dict(),
-            "system_kind": rec.system_kind,
-            "colors": rec.colors,
-            "cells": rec.cells,
-            "stats": rec.stats,
-        }
-    raise ValueError(f"unknown record kind {rec.kind!r}")
+        key = "edges"
+        extra = {"placement": None if rec.placement_rows is None else
+                 {"rows": rec.placement_rows, "cols": rec.placement_cols},
+                 "base_red_edges": rec.base_red_edges,
+                 "base_blue_edges": rec.base_blue_edges}
+    elif rec.kind == "triples":
+        key = "triples"
+        extra = {"system_kind": rec.system_kind, "colors": rec.colors,
+                 "cells": rec.cells}
+    else:
+        raise ValueError(f"unknown record kind {rec.kind!r}")
+    entries = np.asarray(getattr(rec, key), dtype=np.int64)
+    return key, entries, {
+        "kind": rec.kind, "n": rec.n, "m": len(entries), "seed": rec.seed,
+        "params": None if rec.params is None else rec.params.to_dict(),
+        "stats": rec.stats, **extra}
+
+
+# entry lines formatted per % call: bounds the text held at once
+_CHUNK = 65536
 
 
 def write_instance(rec, path: str, fmt: str = "edgelist") -> list[str]:
@@ -166,28 +159,21 @@ def write_instance(rec, path: str, fmt: str = "edgelist") -> list[str]:
     out_dir = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(out_dir):
         raise FileNotFoundError(f"output directory does not exist: {out_dir}")
-    payload = _record_payload(rec)
+    if fmt not in ("edgelist", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    key, entries, payload = _record_payload(rec)
     if fmt == "json":
-        body = dict(payload)
-        body["format"] = "json"
-        if rec.kind == "graph":
-            body["edges"] = [[int(u) + 1, int(v) + 1] for u, v in rec.edges]
-        else:
-            body["triples"] = [[a + 1, b + 1, c + 1] for a, b, c in rec.triples]
+        body = dict(payload, format="json")
+        body[key] = entries + 1
         with open(path, "w") as fh:
             fh.write(_dumps(body))
         return [path]
-    if fmt != "edgelist":
-        raise ValueError(f"unknown format {fmt!r}")
-    lines = [f"{rec.n} {payload['m']} {rec.seed}\n"]
-    if rec.kind == "graph":
-        for u, v in rec.edges:
-            lines.append(f"{int(u) + 1} {int(v) + 1}\n")
-    else:
-        for a, b, c in rec.triples:
-            lines.append(f"{a + 1} {b + 1} {c + 1}\n")
     with open(path, "w") as fh:
-        fh.writelines(lines)
+        fh.write(f"{rec.n} {len(entries)} {rec.seed}\n")
+        for lo in range(0, len(entries), _CHUNK):
+            chunk = entries[lo:lo + _CHUNK] + 1
+            line = " ".join(["%d"] * chunk.shape[1]) + "\n"
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
     side = _sidecar_path(path)
     with open(side, "w") as fh:
         fh.write(_dumps(payload))
@@ -299,6 +285,18 @@ def _line_widths(text: str) -> tuple[np.ndarray, str]:
     return widths[nonblank], text[lo:hi]
 
 
+@contextmanager
+def _record_in(source: str):
+    """Report a missing key or a value of the wrong type in the JSON record
+    of file source as a ValueError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{source}: missing key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{source}: value of the wrong type: {exc}") from None
+
+
 def read_instance(path: str):
     """Load a record from an edge-list (with sidecar) or embedded-JSON file."""
     with open(path) as fh:
@@ -308,7 +306,8 @@ def read_instance(path: str):
         payload = json.loads(text)
         if payload.get("format") != "json":
             raise ValueError("JSON instance file missing format marker")
-        return _from_payload(payload)
+        with _record_in(path):
+            return _from_payload(payload)
 
     widths, first = _line_widths(text)
     if not widths.size:
@@ -330,12 +329,13 @@ def read_instance(path: str):
     if os.path.exists(side):
         with open(side) as fh:
             payload = json.loads(fh.read())
-        if (int(payload.get("n", n)) != n or int(payload.get("m", m)) != m
-                or (m and payload.get("kind", "graph") != kind)):
-            raise ValueError("sidecar disagrees with edge-file header")
-    else:
-        payload = {"kind": kind, "n": n, "m": m, "seed": seed,
-                   "colors": "D" * m if kind == "triples" else None}
+        with _record_in(side):
+            if (int(payload.get("n", n)) != n or int(payload.get("m", m)) != m
+                    or (m and payload.get("kind", "graph") != kind)):
+                raise ValueError("sidecar disagrees with edge-file header")
+            return _from_payload(payload, body)
+    payload = {"kind": kind, "n": n, "m": m, "seed": seed,
+               "colors": "D" * m if kind == "triples" else None}
     return _from_payload(payload, body)
 
 

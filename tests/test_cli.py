@@ -69,17 +69,44 @@ class TestBuild:
         assert rec.params.mode == "clamped"
         assert rec.params.N == 32
 
-    def test_golden_bytes(self, tmp_path):
-        # the edge file and sidecar are a pure function of (params, seed);
-        # any refactor of the pipeline or the writer must keep these bytes
-        path = tmp_path / "g.edges"
-        assert run(["build", "--n", "2000", "--clamp", "--seed", "0",
-                    "--out", str(path)]) == 0
-        side = tmp_path / "g.edges.json"
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "813822118e0633aa744b9ce4bf978de353576c76799df4f77501c848e0057a3c"
-        assert hashlib.sha256(side.read_bytes()).hexdigest() == \
-            "7841758c7c797297d9b21fbe512603e9d3fa3cb94f8ca41c6d2f053b74a09369"
+    @pytest.mark.parametrize("argv, files", [
+        pytest.param(
+            ["build", "--n", "2000", "--clamp", "--seed", "0"],
+            {"g.edges": "813822118e0633aa744b9ce4bf978de3"
+                        "53576c76799df4f77501c848e0057a3c",
+             "g.edges.json": "7841758c7c797297d9b21fbe512603e9"
+                             "d3fa3cb94f8ca41c6d2f053b74a09369"},
+            id="build-edgelist"),
+        pytest.param(
+            ["build", "--n", "2000", "--clamp", "--seed", "1",
+             "--format", "json"],
+            {"g.json": "60762f6b77a605f1a4f7ac2f1858458d"
+                       "b17d19a6f94b761476f19ea8b979d0a4"},
+            id="build-json"),
+        pytest.param(
+            ["hyper", "--explicit", "--N", "7", "--n", "40", "--p", "0.3",
+             "--k", "10", "--seed", "3"],
+            {"h.triples": "3f567180550b6cd20824500c88f50d9a"
+                          "4d52716bf4fe38f047ebed5acf8cd850",
+             "h.triples.json": "678fda01de7174a5b2b89defd177acca"
+                               "e4e0e2b6d0449cb67612fb357edaf64e"},
+            id="hyper-edgelist"),
+        pytest.param(
+            ["hyper", "--explicit", "--N", "8", "--n", "50", "--p", "0.3",
+             "--k", "12", "--seed", "1", "--format", "json"],
+            {"h.json": "f0318a64dc0390d8388ac97de2742b4b"
+                       "5927fc2e42042e469420227bd2701cce"},
+            id="hyper-json"),
+    ])
+    def test_golden_bytes(self, tmp_path, argv, files):
+        # every written file is a pure function of (params, seed); any
+        # refactor of the pipeline or the writer must keep these bytes
+        out = tmp_path / next(iter(files))
+        assert run(argv + ["--out", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path)) == sorted(files)
+        for name, digest in files.items():
+            data = (tmp_path / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
 
     def test_usage_errors(self, tmp_path):
         assert run(["build"]) == 2                      # no --n
@@ -143,6 +170,49 @@ class TestVerify:
             assert checks[key] is True, key
         assert report["ok"] is True
         assert len(report["concentration"]["checks"]) == 7
+
+
+class TestDamagedSidecar:
+    """A damaged sidecar is an error line and exit 1, never a traceback."""
+
+    def damaged(self, tmp_path, damage):
+        path = build_small(tmp_path)
+        side = json.loads(open(path + ".json").read())
+        damage(side)
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        return path
+
+    def assert_error_exit(self, argv, capsys):
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    @pytest.mark.parametrize("edge", [[0, 6], [-6, 2]],
+                             ids=["beyond-N", "negative"])
+    def test_base_edge_out_of_range(self, tmp_path, capsys, command, edge):
+        path = self.damaged(tmp_path,
+                            lambda s: s["base_red_edges"].__setitem__(0, edge))
+        err = self.assert_error_exit([command, path], capsys)
+        assert "red base edge endpoint outside 0..5" in err
+
+    @pytest.mark.parametrize("damage, names", [
+        (lambda s: s["params"].pop("kappa"), "'kappa'"),
+        (lambda s: s["placement"].pop("cols"), "'cols'"),
+        (lambda s: s.update(params=list(s["params"].values())), "type"),
+    ], ids=["no-params-kappa", "no-placement-cols", "params-a-list"])
+    def test_malformed(self, tmp_path, capsys, damage, names):
+        path = self.damaged(tmp_path, damage)
+        with pytest.raises(ValueError) as exc:
+            read_instance(path)
+        assert str(exc.value).startswith(path + ".json: ")
+        assert names in str(exc.value)
+        for command in ("verify", "alpha"):
+            err = self.assert_error_exit([command, path], capsys)
+            assert path + ".json" in err and names in err
 
 
 class TestAlpha:

@@ -70,6 +70,35 @@ class TestBaseSampling:
             assert not g.adj.diagonal().any()
 
 
+class TestBaseGraphEdges:
+    def test_from_edges_edge_array_round_trip(self):
+        gr, gb = random_bases(9, 0.4, seed=5)
+        for g in (gr, gb):
+            edges = g.edge_array()
+            assert edges.shape == (g.edge_count(), 2)
+            assert (edges[:, 0] < edges[:, 1]).all()
+            assert edges.tolist() == sorted(edges.tolist())
+            back = BaseGraph.from_edges(g.side, 9, edges)
+            assert (back.adj == g.adj).all()
+            # pairs in either order and as lists build the same graph
+            flipped = [(v, u) for u, v in edges.tolist()]
+            assert (BaseGraph.from_edges(g.side, 9, flipped).adj == g.adj).all()
+        empty = BaseGraph.from_edges("red", 3, [])
+        assert empty.edge_array().shape == (0, 2)
+
+    @pytest.mark.parametrize("edge", [(0, 6), (-6, 2), (6, 0), (0, -1)],
+                             ids=["v-is-N", "u-wraps", "u-is-N", "v-wraps"])
+    def test_from_edges_rejects_endpoints_outside_grid(self, edge):
+        # numpy indexing would wrap -6 to row 0 and -1 to row 5
+        with pytest.raises(ValueError, match="outside 0..5"):
+            BaseGraph.from_edges("red", 6, [(1, 2), edge])
+
+    def test_from_edges_rejects_bad_shapes_and_loops(self):
+        for edges in ([(0, 1, 2)], [(0, 1), (2, 3, 4)], [(3, 3)]):
+            with pytest.raises(ValueError):
+                BaseGraph.from_edges("blue", 6, edges)
+
+
 class TestCommonNeighborMatrices:
     def test_common_vs_bruteforce(self):
         rng = np.random.default_rng(11)
@@ -187,7 +216,7 @@ class TestProduct:
             g1 = conormal_product(gr, gb)
             red, blue = flags_of_product(g1, N)
             want_red, want_blue = product_flags_bruteforce(
-                gr.edge_list(), gb.edge_list(), N)
+                gr.edge_array(), gb.edge_array(), N)
             assert red == want_red
             assert blue == want_blue
 
@@ -223,7 +252,7 @@ class TestDeletionRule:
             g2 = apply_deletion_rule(conormal_product(gr, gb), gr, gb)
             red, blue = flags_of_product(g2, N)
             want_red, want_blue = deletion_bruteforce(
-                gr.edge_list(), gb.edge_list(), N)
+                gr.edge_array(), gb.edge_array(), N)
             assert red == want_red, f"red flags differ at trial {trial}"
             assert blue == want_blue, f"blue flags differ at trial {trial}"
 
