@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (PlacedGraph, common_neighbor_matrix,
+from .construction import (STREAM_K_SETS, PlacedGraph, child_rng,
+                           common_neighbor_matrix,
                            common_upper_neighbor_matrix, count_matmul)
 
 __all__ = [
@@ -359,11 +360,9 @@ def f_function(l_r, l_b, params):
 def sample_k_sets(instance: PlacedGraph, n_random: int = 10, seed: int = 0,
                   adversarial: bool = True) -> list[tuple[str, np.ndarray]]:
     """Random k-sets plus structured stress sets (fiber-heavy, neighborhoods)."""
-    from .construction import child_rng
-
     params = instance.params
     n, k, N = instance.n, params.k, params.N
-    rng = child_rng(seed, 62)
+    rng = child_rng(seed, STREAM_K_SETS)
     out: list[tuple[str, np.ndarray]] = []
     for i in range(n_random):
         out.append((f"random_{i}", np.sort(rng.choice(n, size=k, replace=False))))

@@ -41,7 +41,7 @@ __all__ = [
     "rebuild",
     "STREAM_RED", "STREAM_BLUE", "STREAM_PHI",
     "STREAM_HYPER_RED", "STREAM_HYPER_BLUE", "STREAM_HYPER_PHI",
-    "STREAM_EDGE_DELETION", "STREAM_PROCESS",
+    "STREAM_EDGE_DELETION", "STREAM_PROCESS", "STREAM_K_SETS", "STREAM_GREEDY",
     "common_neighbor_matrix", "common_upper_neighbor_matrix", "count_matmul",
 ]
 
@@ -54,6 +54,8 @@ STREAM_HYPER_BLUE = 4
 STREAM_HYPER_PHI = 5
 STREAM_EDGE_DELETION = 6
 STREAM_PROCESS = 7
+STREAM_K_SETS = 62  # analysis.sample_k_sets
+STREAM_GREEDY = 63  # independence.independence_greedy
 
 
 def child_rng(seed: int, stream: int) -> np.random.Generator:
@@ -183,16 +185,39 @@ class ColoredProductGraph:
 
     # ---------------- global counts (exact, via the factorization) ----------
 
-    def flag_counts(self) -> dict:
-        """Counts of red-flagged, blue-flagged, dual-flagged and present pairs."""
-        cr = int(np.count_nonzero(self.red_row)) * int(np.count_nonzero(self.red_col))
-        cb = int(np.count_nonzero(self.blue_row)) * int(np.count_nonzero(self.blue_col))
-        both_row = self.red_row & self.blue_row
-        both_col = self.red_col & self.blue_col
-        cd = int(np.count_nonzero(both_row)) * int(np.count_nonzero(both_col))
-        # ordered products count each unordered cell pair twice
-        red, blue, dual = cr // 2, cb // 2, cd // 2
+    def flag_counts(self, placement: Placement | None = None) -> dict:
+        """Red-, blue-, dual-flagged and present pairs of cells, or of placed
+        cells: row @ Occ @ colᵀ summed over Occ, the 0/1 occupancy matrix."""
+        factors = [(self.red_row, self.red_col), (self.blue_row, self.blue_col),
+                   (self.red_row & self.blue_row, self.red_col & self.blue_col)]
+        if placement is None:
+            ordered = [int(np.count_nonzero(r)) * int(np.count_nonzero(c))
+                       for r, c in factors]
+        else:
+            occ = np.zeros((self.N, self.N), dtype=np.float32)
+            occ[placement.rows, placement.cols] = 1
+            ordered = [int((count_matmul(count_matmul(r, occ), c.T) * occ)
+                           .sum(dtype=np.float64)) for r, c in factors]
+        # ordered pairs count each unordered cell pair twice
+        red, blue, dual = (x // 2 for x in ordered)
         return {"red": red, "blue": blue, "dual": dual, "edges": red + blue - dual}
+
+    def placed_edges_are(self, placement: Placement, edges) -> bool:
+        """True iff edges is the placed graph's edge array (u < v, sorted),
+        without inducing it: keys u * n + v strictly increasing with
+        u < v < n, every pair flagged, and as many pairs as placed edges."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = edges.T
+        n = placement.n
+        if not ((u >= 0).all() and (u < v).all() and (v < n).all()
+                and (np.diff(u * n + v) > 0).all()):
+            return False
+        ru, cu = placement.rows[u], placement.cols[u]
+        rv, cv = placement.rows[v], placement.cols[v]
+        flagged = ((self.red_row[ru, rv] & self.red_col[cu, cv])
+                   | (self.blue_row[ru, rv] & self.blue_col[cu, cv]))
+        return (bool(flagged.all())
+                and len(edges) == self.flag_counts(placement)["edges"])
 
     def edge_count(self) -> int:
         return self.flag_counts()["edges"]
@@ -225,8 +250,8 @@ class ColoredProductGraph:
     def cell_graph(self) -> SimpleGraphView:
         """SimpleGraphView over all N^2 cells (red or blue flag = edge)."""
         ids = np.arange(self.cells)
-        us, vs, _ = _placed_adjacency(self, Placement(self.N, ids // self.N,
-                                                      ids % self.N))
+        us, vs = _placed_adjacency(self, Placement(self.N, ids // self.N,
+                                                   ids % self.N))
         return SimpleGraphView.from_edge_arrays(self.cells, us, vs)
 
 
@@ -331,26 +356,30 @@ class PlacedGraph:
 
 def _placed_adjacency(product: ColoredProductGraph, placement: Placement,
                       block: int = 2048):
-    """Edge arrays of the placed graph plus per-color pair counts."""
+    """Edge arrays (u < v, lexicographic) of the placed graph: O(n^2) gathers."""
     rows, cols = placement.rows, placement.cols
     n = placement.n
     us, vs = [], []
-    red_only = blue_only = dual = 0
     for start in range(0, n, block):
         stop = min(start + block, n)
         red, blue = product.flag_blocks((rows[start:stop], cols[start:stop]),
                                         (rows, cols))
         a, b = np.nonzero(red | blue)
         keep = (a + start) < b
-        a, b = a[keep], b[keep]
-        rk, bk = red[a, b], blue[a, b]
-        red_only += int((rk & ~bk).sum())
-        blue_only += int((bk & ~rk).sum())
-        dual += int((rk & bk).sum())
-        us.append(a + start)
-        vs.append(b)
-    counts = {"red_only": red_only, "blue_only": blue_only, "dual": dual}
-    return np.concatenate(us), np.concatenate(vs), counts
+        us.append(a[keep] + start)
+        vs.append(b[keep])
+    return np.concatenate(us), np.concatenate(vs)
+
+
+def _placed_stats(g2: ColoredProductGraph, placement: Placement,
+                  extra_stats: dict | None) -> dict:
+    """extra_stats plus the placed graph's counts, from the factorization."""
+    flags = g2.flag_counts(placement)
+    return {**(extra_stats or {}), "n": placement.n, "N": g2.N,
+            "edges_final": flags["edges"],
+            "placed_red_only": flags["red"] - flags["dual"],
+            "placed_blue_only": flags["blue"] - flags["dual"],
+            "placed_dual": flags["dual"]}
 
 
 def induce_final_graph(g2: ColoredProductGraph, placement: Placement,
@@ -361,25 +390,17 @@ def induce_final_graph(g2: ColoredProductGraph, placement: Placement,
     """Pull the cell graph back through the placement."""
     if g2.stage != "deleted":
         raise ValueError("final graph is induced from the deleted product")
-    us, vs, color_counts = _placed_adjacency(g2, placement)
-    graph = SimpleGraphView.from_edge_arrays(placement.n, us, vs)
-    stats = dict(extra_stats or {})
-    stats.update({
-        "n": placement.n,
-        "N": g2.N,
-        "edges_final": graph.m,
-        "placed_red_only": color_counts["red_only"],
-        "placed_blue_only": color_counts["blue_only"],
-        "placed_dual": color_counts["dual"],
-    })
-    return PlacedGraph(params=params, seed=seed, base_red=base_red,
-                       base_blue=base_blue, product=g2, placement=placement,
-                       graph=graph, stats=stats)
+    graph = SimpleGraphView.from_edge_arrays(
+        placement.n, *_placed_adjacency(g2, placement))
+    return PlacedGraph(params, seed, base_red, base_blue, g2, placement, graph,
+                       _placed_stats(g2, placement, extra_stats))
 
 
 def _assemble(params: Params, seed: int | None, gr: BaseGraph, gb: BaseGraph,
-              placement: Placement) -> PlacedGraph:
-    """Bases + placement -> deleted product, builder stats, placed graph."""
+              placement: Placement,
+              graph: SimpleGraphView | None = None) -> PlacedGraph:
+    """Bases + placement -> deleted product, builder stats and the placed
+    graph: graph when given, else induced."""
     g1 = conormal_product(gr, gb)
     flags1 = g1.flag_counts()
     g2 = apply_deletion_rule(g1, gr, gb)
@@ -394,8 +415,11 @@ def _assemble(params: Params, seed: int | None, gr: BaseGraph, gb: BaseGraph,
         "cell_edges_product": flags1["edges"],
         "cell_edges_deleted_stage": flags2["edges"],
     }
-    return induce_final_graph(g2, placement, params=params, seed=seed,
-                              base_red=gr, base_blue=gb, extra_stats=stats)
+    if graph is None:
+        return induce_final_graph(g2, placement, params=params, seed=seed,
+                                  base_red=gr, base_blue=gb, extra_stats=stats)
+    return PlacedGraph(params, seed, gr, gb, g2, placement, graph,
+                       _placed_stats(g2, placement, stats))
 
 
 def build(params: Params, seed: int) -> PlacedGraph:
@@ -406,16 +430,19 @@ def build(params: Params, seed: int) -> PlacedGraph:
 
 
 def rebuild(rec) -> PlacedGraph | None:
-    """Re-derive a stored graph instance from its provenance.
+    """Re-derive a stored serialize.InstanceRecord around rec.graph().
 
-    rec is a serialize.InstanceRecord; returns None when it lacks the
-    params, the placement or either base edge list.
-    """
+    The graph is not induced: product.placed_edges_are(placement, rec.edges)
+    tells whether it is the placed one.  None when rec lacks the params, the
+    placement or a base edge list; ValueError unless it places rec.n."""
     if (rec.params is None or rec.placement_rows is None
             or rec.base_red_edges is None or rec.base_blue_edges is None):
         return None
     N = rec.params.N
-    return _assemble(rec.params, rec.seed,
-                     BaseGraph.from_edges("red", N, rec.base_red_edges),
-                     BaseGraph.from_edges("blue", N, rec.base_blue_edges),
-                     Placement(N, rec.placement_rows, rec.placement_cols))
+    gr = BaseGraph.from_edges("red", N, rec.base_red_edges)
+    gb = BaseGraph.from_edges("blue", N, rec.base_blue_edges)
+    placement = Placement(N, rec.placement_rows, rec.placement_cols)
+    if placement.n != rec.n:
+        raise ValueError(f"placement holds {placement.n} vertices, "
+                         f"the instance {rec.n}")
+    return _assemble(rec.params, rec.seed, gr, gb, placement, rec.graph())

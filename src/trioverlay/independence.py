@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import child_rng
+from .construction import STREAM_GREEDY, child_rng
 from .graphview import SimpleGraphView
 
 __all__ = ["IndependenceResult", "independence_exact", "independence_greedy",
@@ -231,7 +231,7 @@ def independence_greedy(g: SimpleGraphView, restarts: int = 3,
     n = g.n
     if n == 0:
         return IndependenceResult("greedy", 0, [], True, 0)
-    rng = child_rng(seed, 63)
+    rng = child_rng(seed, STREAM_GREEDY)
     best: list[int] = []
 
     if g.m:

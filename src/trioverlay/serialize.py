@@ -16,7 +16,6 @@ one deterministic file: keys sorted, newline-terminated.
 from __future__ import annotations
 
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -184,9 +183,24 @@ def _params_from(obj) -> Params | None:
     return None if obj is None else Params.from_dict(obj)
 
 
-def _entries(raw, width: int) -> np.ndarray:
+def _integer(value, name: str) -> int:
+    """value, which must be an int (not a bool, float or string)."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _int_array(raw, name: str) -> np.ndarray:
+    """raw as an int64 array; TypeError unless every value is an integer."""
+    arr = np.asarray(raw)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
+def _entries(raw, width: int, name: str) -> np.ndarray:
     """Entry lines (edges or triples) as a (count, width) int64 array."""
-    arr = np.asarray(raw, dtype=np.int64)
+    arr = _int_array(raw, name)
     if arr.size == 0:
         return arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
@@ -206,29 +220,29 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
     """Record from a parsed payload; body holds the 1-based entry lines of
     an edge-list file, else the entries come from the payload itself."""
     kind = payload.get("kind", "graph")
-    n = int(payload["n"])
-    seed = int(payload.get("seed", 0))
+    n = _integer(payload["n"], "n")
+    seed = _integer(payload.get("seed", 0), "seed")
     params = _params_from(payload.get("params"))
     stats = payload.get("stats") or {}
     if kind == "graph":
         raw = payload.get("edges", []) if body is None else body
-        edges = _edges_array(_entries(raw, 2) - 1, n)
+        edges = _edges_array(_entries(raw, 2, "edges") - 1, n)
         placement = payload.get("placement")
         rows = cols = None
         if placement is not None:
-            rows = np.asarray(placement["rows"], dtype=np.int64)
-            cols = np.asarray(placement["cols"], dtype=np.int64)
-        red = payload.get("base_red_edges")
-        blue = payload.get("base_blue_edges")
+            rows = _int_array(placement["rows"], "placement rows")
+            cols = _int_array(placement["cols"], "placement cols")
+        red, blue = (None if payload.get(key) is None else
+                     _entries(payload[key], 2, key)
+                     for key in ("base_red_edges", "base_blue_edges"))
         return InstanceRecord(
             n=n, seed=seed, edges=edges, params=params,
             placement_rows=rows, placement_cols=cols,
-            base_red_edges=None if red is None else _entries(red, 2),
-            base_blue_edges=None if blue is None else _entries(blue, 2),
+            base_red_edges=red, base_blue_edges=blue,
             stats=stats)
     if kind == "triples":
         raw = payload.get("triples", []) if body is None else body
-        arr = np.sort(_entries(raw, 3), axis=1) - 1
+        arr = np.sort(_entries(raw, 3, "triples"), axis=1) - 1
         bad = (arr[:, 0] < 0) | (arr[:, 2] >= n) | (arr[:, 0] == arr[:, 1]) \
             | (arr[:, 1] == arr[:, 2])
         if bad.any():
@@ -241,7 +255,7 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
         return TripleRecord(
             n=n, seed=seed, triples=triples, colors=colors, params=params,
             system_kind=payload.get("system_kind", "reduced"),
-            cells=None if cells is None else np.asarray(cells, dtype=np.int64),
+            cells=None if cells is None else _int_array(cells, "cells"),
             stats=stats)
     raise ValueError(f"unknown record kind {kind!r}")
 
@@ -330,7 +344,8 @@ def read_instance(path: str):
         with open(side) as fh:
             payload = json.loads(fh.read())
         with _record_in(side):
-            if (int(payload.get("n", n)) != n or int(payload.get("m", m)) != m
+            if (_integer(payload.get("n", n), "n") != n
+                    or _integer(payload.get("m", m), "m") != m
                     or (m and payload.get("kind", "graph") != kind)):
                 raise ValueError("sidecar disagrees with edge-file header")
             return _from_payload(payload, body)
@@ -339,50 +354,9 @@ def read_instance(path: str):
     return _from_payload(payload, body)
 
 
-def _num_eq(a, b) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        return (a == b) or (math.isnan(a) and math.isnan(b))
-    return a == b
-
-
-def _dict_eq(a: dict, b: dict) -> bool:
-    if set(a) != set(b):
-        return False
-    for k in a:
-        va, vb = a[k], b[k]
-        if isinstance(va, dict) and isinstance(vb, dict):
-            if not _dict_eq(va, vb):
-                return False
-        elif not _num_eq(va, vb):
-            return False
-    return True
-
-
-def _arr_eq(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    a, b = np.asarray(a), np.asarray(b)
-    if a.size == 0 and b.size == 0:
-        return True
-    return a.shape == b.shape and bool((a == b).all())
-
-
 def instances_equal(a, b) -> bool:
-    if a.kind != b.kind or a.n != b.n or a.seed != b.seed:
-        return False
-    pa = None if a.params is None else a.params.to_dict()
-    pb = None if b.params is None else b.params.to_dict()
-    if (pa is None) != (pb is None):
-        return False
-    if pa is not None and not _dict_eq(pa, pb):
-        return False
-    if not _dict_eq(jsonify(a.stats), jsonify(b.stats)):
-        return False
-    if a.kind == "graph":
-        return (_arr_eq(a.edges, b.edges)
-                and _arr_eq(a.placement_rows, b.placement_rows)
-                and _arr_eq(a.placement_cols, b.placement_cols)
-                and _arr_eq(a.base_red_edges, b.base_red_edges)
-                and _arr_eq(a.base_blue_edges, b.base_blue_edges))
-    return (a.triples == b.triples and a.colors == b.colors
-            and a.system_kind == b.system_kind and _arr_eq(a.cells, b.cells))
+    """True iff a and b would write the same instance."""
+    key_a, entries_a, payload_a = _record_payload(a)
+    key_b, entries_b, payload_b = _record_payload(b)
+    return (key_a == key_b and np.array_equal(entries_a, entries_b)
+            and _dumps(payload_a) == _dumps(payload_b))

@@ -118,6 +118,32 @@ def flags_of_product(g, N: int):
     return red, blue
 
 
+def placed_edge_array(product, placement) -> np.ndarray:
+    """(m, 2) edges u < v of the placed graph, lexicographic, from the dense
+    n x n flag matrices of the placed cells."""
+    cells = (placement.rows, placement.cols)
+    red, blue = product.flag_blocks(cells, cells)
+    return np.argwhere(np.triu(red | blue, 1))
+
+
+def placed_edges_by_induce(product, placement, edges) -> bool:
+    """Re-induce the placed graph and compare edge arrays, entry by entry."""
+    rebuilt = placed_edge_array(product, placement)
+    edges = np.asarray(edges)
+    return rebuilt.shape == edges.shape and bool((rebuilt == edges).all())
+
+
+def placed_flag_tallies(product, placement, edges) -> dict:
+    """Red, blue and dual flag counts over the edges of a materialized
+    placed graph, one pair query per edge."""
+    red = blue = dual = 0
+    for u, v in edges:
+        r, b = product.edge_flags(placement.cell_of(int(u)),
+                                  placement.cell_of(int(v)))
+        red, blue, dual = red + r, blue + b, dual + (r and b)
+    return {"red": red, "blue": blue, "dual": dual, "edges": len(edges)}
+
+
 # --------------------------------------------- integer count products
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import trioverlay
 import trioverlay.cli as cli
+import trioverlay.construction as construction
 from trioverlay.cli import SWEEP_SCHEMA, main
 from trioverlay.serialize import read_instance
 
@@ -215,6 +216,46 @@ class TestDamagedSidecar:
             assert path + ".json" in err and names in err
 
 
+    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    @pytest.mark.parametrize("damage, names", [
+        (lambda s: s["base_red_edges"].__setitem__(0, [0.5, 3]),
+         "base_red_edges must hold integers"),
+        (lambda s: s["base_red_edges"].__setitem__(0, ["0", 3]),
+         "base_red_edges must hold integers"),
+        (lambda s: s["placement"]["rows"].__setitem__(
+            0, s["placement"]["rows"][0] + 0.5), "placement rows must hold"),
+        (lambda s: s.update(n=24.5), "n must be an integer"),
+        (lambda s: s.update(m=s["m"] + 0.5), "m must be an integer"),
+        (lambda s: s.update(seed=0.5), "seed must be an integer"),
+        (lambda s: s.update(seed="0"), "seed must be an integer"),
+    ], ids=["base-float", "base-string", "placement-float", "n-float",
+            "m-float", "seed-float", "seed-string"])
+    def test_non_integer(self, tmp_path, capsys, command, damage, names):
+        # truncating a float or parsing a string would read a different
+        # instance than the file holds
+        path = self.damaged(tmp_path, damage)
+        err = self.assert_error_exit([command, path], capsys)
+        assert path + ".json: " in err and names in err
+
+    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    def test_non_integer_embedded_edge(self, tmp_path, capsys, command):
+        path = build_small(tmp_path, name="inst.json", fmt="json")
+        payload = json.loads(open(path).read())
+        payload["edges"][0][1] += 0.5
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload))
+        err = self.assert_error_exit([command, path], capsys)
+        assert path + ": " in err and "edges must hold integers" in err
+
+    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    def test_short_placement(self, tmp_path, capsys, command):
+        # 23 placed vertices cannot carry the file's 24-vertex graph
+        path = self.damaged(tmp_path, lambda s: (s["placement"]["rows"].pop(),
+                                                 s["placement"]["cols"].pop()))
+        err = self.assert_error_exit([command, path], capsys)
+        assert "placement holds 23 vertices, the instance 24" in err
+
+
 class TestAlpha:
     def test_both_methods(self, tmp_path, capsys):
         path = build_small(tmp_path)
@@ -257,6 +298,42 @@ class TestAlpha:
         assert json.loads(capsys.readouterr().out)["alpha_greedy"] == 831
 
 
+class TestInduceOnce:
+    """Only build induces the placed graph; verify and diagnose read it."""
+
+    def test_verify_and_diagnose_never_induce(self, tmp_path, monkeypatch,
+                                              capsys):
+        path = build_small(tmp_path)
+        argvs = [["verify", path, "--json"], ["verify", path],
+                 ["diagnose", path, "--sets", "2"]]
+        before = []
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv) == 0
+            before.append(capsys.readouterr().out)
+
+        def induce(*args, **kwargs):
+            raise RuntimeError("induced")
+
+        monkeypatch.setattr(construction, "_placed_adjacency", induce)
+        for argv, out in zip(argvs, before):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == out
+        assert json.loads(before[0])["checks"]["edges_rederivable"] is True
+
+    def test_build_induces_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = construction.induce_final_graph
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "induce_final_graph", counted)
+        build_small(tmp_path)
+        assert len(calls) == 1
+
+
 class TestDiagnose:
     def test_full_report(self, tmp_path, capsys):
         path = build_small(tmp_path)
@@ -279,6 +356,22 @@ class TestDiagnose:
         report = json.loads(capsys.readouterr().out)
         assert [r["set"] for r in report["k_sets"]] == \
             ["random_0", "random_1", "random_2"]
+
+    def test_duplicate_edge(self, tmp_path, capsys):
+        # diagnose reads the file's graph, which must be simple
+        path = build_small(tmp_path)
+        lines = open(path).read().splitlines()
+        n, m, seed = lines[0].split()
+        with open(path, "w") as fh:
+            fh.write(f"{n} {int(m) + 1} {seed}\n"
+                     + "".join(x + "\n" for x in lines[1:] + lines[-1:]))
+        side = json.loads(open(path + ".json").read())
+        side["m"] = int(m) + 1
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        capsys.readouterr()
+        assert run(["diagnose", path]) == 1
+        assert capsys.readouterr().err == "error: duplicate edge in edge list\n"
 
     def test_requires_provenance(self, tmp_path):
         path = str(tmp_path / "bare.edges")

@@ -3,7 +3,10 @@ import pytest
 
 from oracles import (base_adjacency_oneshot, common_matrices_int32,
                      concentration_int64, deletion_bruteforce, flags_of_product,
-                     product_flags_bruteforce, triangles_bruteforce)
+                     placed_edge_array, placed_edges_by_induce,
+                     placed_flag_tallies, product_flags_bruteforce,
+                     triangles_bruteforce)
+from trioverlay import construction
 from trioverlay.analysis import concentration_report
 from trioverlay.construction import (STREAM_BLUE, STREAM_RED, BaseGraph,
                                      Placement, apply_deletion_rule, build,
@@ -429,7 +432,91 @@ class TestBuild:
         assert 1.5 * par.p <= mean <= 2.5 * par.p
 
 
+def random_builds(count, seed):
+    """Built instances with N = 2..13, every fourth one with n = N^2."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        N = int(rng.integers(2, 14))
+        n = N * N if t % 4 == 0 else int(rng.integers(2, N * N + 1))
+        par = tiny_params(N, float(rng.random()), n=n, k=max(1, min(n, N)))
+        yield build(par, int(rng.integers(1e6)))
+
+
+def tamperings(edges, n, rng) -> dict:
+    """Damaged copies of a placed graph's edge array, by kind of damage."""
+    out = {}
+    present = set(map(tuple, edges.tolist()))
+    free = [(u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in present]
+
+    def lex(e):
+        return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+    if len(edges):
+        i = int(rng.integers(len(edges)))
+        out["dropped"] = np.delete(edges, i, axis=0)
+        out["duplicate"] = np.insert(edges, i, edges[i], axis=0)
+        out["u_above_v"] = edges.copy()
+        out["u_above_v"][i] = edges[i, ::-1]
+        out["vertex_n"] = edges.copy()
+        out["vertex_n"][-1, 1] = n
+    if free:
+        pair = free[int(rng.integers(len(free)))]
+        out["unflagged_added"] = lex(np.vstack([edges, [pair]]))
+        if len(edges):
+            out["unflagged_swapped_in"] = lex(
+                np.vstack([np.delete(edges, i, axis=0), [pair]]))
+    if len(edges) >= 2:
+        j = int(rng.integers(len(edges) - 1))
+        out["lines_swapped"] = edges.copy()
+        out["lines_swapped"][[j, j + 1]] = edges[[j + 1, j]]
+    return out
+
+
+class TestPlacedCounts:
+    def test_flag_counts_match_tallies(self):
+        seen_full = 0
+        for placed in random_builds(32, seed=41):
+            product, placement = placed.product, placed.placement
+            got = product.flag_counts(placement)
+            assert got == placed_flag_tallies(product, placement,
+                                              placed.graph.edge_array())
+            assert placed.stats["edges_final"] == placed.graph.m
+            if placement.n == product.cells:
+                seen_full += 1
+                assert got == product.flag_counts()
+            # any stage, not only the deleted one
+            gr, gb = placed.base_red, placed.base_blue
+            g1 = conormal_product(gr, gb)
+            assert g1.flag_counts(placement) == placed_flag_tallies(
+                g1, placement, placed_edge_array(g1, placement))
+        assert seen_full >= 8
+
+    def test_placed_edges_are_matches_induce(self):
+        rng = np.random.default_rng(42)
+        cases = 0
+        instances = list(random_builds(24, seed=43))
+        instances.append(build(explicit_params(n=9, N=3, p=0.0, k=3), 1))
+        for placed in instances:
+            product, placement = placed.product, placed.placement
+            edges = placed.graph.edge_array()
+            assert product.placed_edges_are(placement, edges)
+            assert placed_edges_by_induce(product, placement, edges)
+            for kind, bad in tamperings(edges, placement.n, rng).items():
+                assert not placed_edges_by_induce(product, placement, bad), kind
+                assert not product.placed_edges_are(placement, bad), kind
+                cases += 1
+        assert cases >= 100
+
+
 class TestChildStreams:
+    def test_registry_is_distinct(self):
+        streams = {name: getattr(construction, name)
+                   for name in construction.__all__
+                   if name.startswith("STREAM_")}
+        assert len(set(streams.values())) == len(streams) == 10
+        assert (streams["STREAM_K_SETS"], streams["STREAM_GREEDY"]) == (62, 63)
+
     def test_streams_disjoint(self):
         a = child_rng(7, 0).random(5)
         b = child_rng(7, 1).random(5)
