@@ -27,7 +27,7 @@ from .analysis import classify_sets, concentration_report, f_function, sample_k_
 from .baselines import edge_deletion_baseline, triangle_free_process
 from .construction import build, rebuild
 from .graphview import count_triangles
-from .hypergraph import extract_link, hyper_product, inject_hyper, \
+from .hypergraph import LinkIndex, hyper_product, inject_hyper, \
     s4_reduction, sample_base_3graphs, verify_s4_free
 from .independence import DEFAULT_BUDGET, independence_exact, independence_greedy
 from .params import Params, derive_params, explicit_params, feasible_params
@@ -170,8 +170,10 @@ def _verify_graph(rec, report: dict) -> bool:
 def _verify_triples(rec, report: dict) -> bool:
     h = rec.system()
     ok = verify_s4_free(h)
-    links = [extract_link(h, v) for v in range(h.order)]
-    sizes = [lk.edge_count() for lk in links]
+    links = LinkIndex(h.order)
+    for t in h.flags:
+        links.add(t)
+    sizes = [len(links.link_edges(v)) for v in range(h.order)]
     report["links"] = {
         "nonempty": sum(1 for s in sizes if s),
         "max_edges": max(sizes, default=0),

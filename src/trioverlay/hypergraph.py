@@ -305,11 +305,7 @@ def extract_link(h: TripleSystem, v: int) -> LinkGraph:
 
 def verify_s4_free(h: TripleSystem) -> bool:
     """No center carries three triples on four vertices (links triangle-free)."""
-    from .graphview import count_triangles
-
-    for v in range(h.order):
-        link = extract_link(h, v)
-        if link.edge_count() >= 3:
-            if count_triangles(link.graph_view()) > 0:
-                return False
-    return True
+    links = LinkIndex(h.order)
+    for t in h.flags:
+        links.add(t)
+    return not any(links.link_triangles(c) for c in range(h.order))

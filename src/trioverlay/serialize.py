@@ -4,7 +4,8 @@ Graph instances: header line ``n m seed``, then m lines ``u v`` with
 1-based endpoints, u < v, sorted lexicographically.  Triple systems use the
 same header and ``u v w`` lines (sorted within each line and overall), with
 the per-line color flags carried by the sidecar as a string of R/B/D
-characters aligned with the line order.
+characters aligned with the line order.  Edge-list files are ASCII: digits,
+spaces or tabs, and line breaks.
 
 The sidecar sits next to the edge file with ``.json`` appended to its name
 and holds the parameter record, placement/base-graph provenance (0-based,
@@ -192,9 +193,14 @@ def _integer(value, name: str) -> int:
 
 def _int_array(raw, name: str) -> np.ndarray:
     """raw as an int64 array; TypeError unless every value is an integer."""
+    if isinstance(raw, np.ndarray):  # an edge-list body, parsed as int64
+        return raw
     arr = np.asarray(raw)
     if arr.size and arr.dtype.kind not in "iu":
         raise TypeError(f"{name} must hold integers, got {arr.dtype} values")
+    # numpy reads a JSON true or false among integers as 1 or 0
+    if arr.size and bool in map(type, np.array(raw, dtype=object).flat):
+        raise TypeError(f"{name} must hold integers, got bool values")
     return arr.astype(np.int64, copy=False)
 
 
@@ -260,43 +266,32 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
     raise ValueError(f"unknown record kind {kind!r}")
 
 
-# what str.split() splits on, and which of those end a line for
-# str.splitlines(); no character above U+3000 is either
-_SPACES = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
-           + "".join(map(chr, range(0x2000, 0x200B)))
-           + "\u2028\u2029\u202f\u205f\u3000")
-_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
-_CHAR_KIND = np.zeros(0x3002, dtype=np.uint8)  # 0 token, 1 space, 2 line break
-_CHAR_KIND[[ord(c) for c in _SPACES]] = 1
-_CHAR_KIND[[ord(c) for c in _BREAKS]] = 2
+# the edge-list grammar, by byte: 0 digit, 1 space or tab, 2 line break,
+# 3 anything else
+_BYTE_KIND = np.full(256, 3, dtype=np.uint8)
+_BYTE_KIND[list(b"0123456789")] = 0
+_BYTE_KIND[list(b" \t")] = 1
+_BYTE_KIND[list(b"\n\v\f\r")] = 2
 
 
-def _line_widths(text: str) -> tuple[np.ndarray, str]:
-    """Token counts of the non-blank lines of text, and the first such line.
-
-    Counts as str.split() on each line of str.splitlines() would, from one
-    code array instead of a Python string per line.
-    """
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:  # one code point per character, so positions index text
-        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-        codes = np.minimum(codes, _CHAR_KIND.size - 1)
-    kind = _CHAR_KIND[codes]
+def _line_widths(data: bytes, path: str) -> np.ndarray:
+    """Token counts of the lines of an edge-list file, blank ones included
+    ("\\r\\n" ends one line); a byte outside the grammar is a ValueError."""
+    codes = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_KIND[codes]
     token = kind == 0
     start = token.copy()
-    start[1:] &= ~token[:-1]  # first character of each token
+    start[1:] &= ~token[:-1]  # first digit of each token
     brk = kind == 2
+    brk[1:] &= (codes[1:] != 10) | (codes[:-1] != 13)
+    bad = kind == 3
+    if bad.any():
+        at = int(bad.argmax())
+        raise ValueError(f"{path}: line {np.count_nonzero(brk[:at]) + 1}: "
+                         f"{data[at:at + 1]!r} is not a digit, space or line break")
     event = np.flatnonzero(start | brk)  # token starts and line breaks, in order
     at = np.flatnonzero(brk[event])  # the line breaks among them
-    widths = np.diff(at, prepend=-1, append=event.size) - 1  # tokens per line
-    nonblank = np.flatnonzero(widths)
-    if not nonblank.size:
-        return nonblank, ""
-    first = nonblank[0]
-    lo = event[at[first - 1]] + 1 if first else 0
-    hi = event[at[first]] if first < at.size else len(text)
-    return widths[nonblank], text[lo:hi]
+    return np.diff(at, prepend=-1, append=event.size) - 1
 
 
 @contextmanager
@@ -313,30 +308,36 @@ def _record_in(source: str):
 
 def read_instance(path: str):
     """Load a record from an edge-list (with sidecar) or embedded-JSON file."""
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.lstrip().startswith(b"{"):
+        payload = json.loads(data)
         if payload.get("format") != "json":
             raise ValueError("JSON instance file missing format marker")
         with _record_in(path):
             return _from_payload(payload)
 
-    widths, first = _line_widths(text)
-    if not widths.size:
+    widths = _line_widths(data, path)
+    lines = np.flatnonzero(widths)  # the non-blank lines, 0-based
+    if not lines.size:
         raise ValueError(f"empty instance file: {path}")
-    head = first.split()
-    if len(head) != 3:
-        raise ValueError(f"bad header {first!r}: want 'n m seed'")
-    n, m, seed = (int(x) for x in head)
+    widths = widths[lines]
+    # the grammar leaves only digit runs and C whitespace: one token each
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    big = values == np.iinfo(np.int64).max  # where fromstring saturates
+    if big.any():
+        line = lines[np.searchsorted(np.cumsum(widths), big.argmax(), "right")]
+        raise ValueError(f"{path}: line {line + 1}: integer too large")
+    if widths[0] != 3:
+        head = " ".join(map(str, values[:widths[0]].tolist()))
+        raise ValueError(f"bad header {head!r}: want 'n m seed'")
+    n, m, seed = values[:3].tolist()
     if widths.size - 1 != m:
         raise ValueError(f"header claims {m} lines, found {widths.size - 1}")
     width = int(widths[1]) if m else 2
     if m and (width not in (2, 3) or (widths[1:] != width).any()):
         raise ValueError("mixed or malformed entry lines")
-    # the header is the first three tokens, so the rest is the body
-    body = np.array(text.split()[3:], dtype=np.int64).reshape(m, width)
+    body = values[3:].reshape(m, width)
     kind = "triples" if width == 3 else "graph"
 
     side = _sidecar_path(path)

@@ -468,3 +468,67 @@ def triangle_free_process_scalar(n: int, seed: int, max_steps: int | None = None
     stats = {"m_final": g.m, "steps": steps, "open_remaining": open_pairs,
              "maximal": open_pairs == 0}
     return BaselineResult("triangle-free-process", n, seed, g, stats)
+
+
+# ------------------------------------------------------- edge-list files
+
+
+# what str.split() splits on, and which of those end a line for
+# str.splitlines(); no character above U+3000 is either
+_SPACES = ("\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+           + "".join(map(chr, range(0x2000, 0x200B)))
+           + "\u2028\u2029\u202f\u205f\u3000")
+_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
+_CHAR_KIND = np.zeros(0x3002, dtype=np.uint8)  # 0 token, 1 space, 2 line break
+_CHAR_KIND[[ord(c) for c in _SPACES]] = 1
+_CHAR_KIND[[ord(c) for c in _BREAKS]] = 2
+
+
+def line_widths_by_str(text: str) -> tuple[np.ndarray, str]:
+    """Token counts of the non-blank lines of text, and the first such line.
+
+    Counts as str.split() on each line of str.splitlines() would, from one
+    code array instead of a Python string per line.
+    """
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:  # one code point per character, so positions index text
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+        codes = np.minimum(codes, _CHAR_KIND.size - 1)
+    kind = _CHAR_KIND[codes]
+    token = kind == 0
+    start = token.copy()
+    start[1:] &= ~token[:-1]  # first character of each token
+    brk = kind == 2
+    event = np.flatnonzero(start | brk)  # token starts and line breaks, in order
+    at = np.flatnonzero(brk[event])  # the line breaks among them
+    widths = np.diff(at, prepend=-1, append=event.size) - 1  # tokens per line
+    nonblank = np.flatnonzero(widths)
+    if not nonblank.size:
+        return nonblank, ""
+    first = nonblank[0]
+    lo = event[at[first - 1]] + 1 if first else 0
+    hi = event[at[first]] if first < at.size else len(text)
+    return widths[nonblank], text[lo:hi]
+
+
+def edge_list_by_split(path: str) -> tuple[int, int, int, np.ndarray]:
+    """(n, m, seed, (m, w) 1-based entry lines) of an edge-list file, read as
+    text and parsed by the code-array line widths plus one str.split()."""
+    with open(path) as fh:
+        text = fh.read()
+    widths, first = line_widths_by_str(text)
+    if not widths.size:
+        raise ValueError(f"empty instance file: {path}")
+    head = first.split()
+    if len(head) != 3:
+        raise ValueError(f"bad header {first!r}: want 'n m seed'")
+    n, m, seed = (int(x) for x in head)
+    if widths.size - 1 != m:
+        raise ValueError(f"header claims {m} lines, found {widths.size - 1}")
+    width = int(widths[1]) if m else 2
+    if m and (width not in (2, 3) or (widths[1:] != width).any()):
+        raise ValueError("mixed or malformed entry lines")
+    # the header is the first three tokens, so the rest is the body
+    body = np.array(text.split()[3:], dtype=np.int64).reshape(m, width)
+    return n, m, seed, body

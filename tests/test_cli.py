@@ -14,7 +14,7 @@ import trioverlay
 import trioverlay.cli as cli
 import trioverlay.construction as construction
 from trioverlay.cli import SWEEP_SCHEMA, main
-from trioverlay.serialize import read_instance
+from trioverlay.serialize import read_instance, write_instance
 
 
 def run(argv):
@@ -85,6 +85,13 @@ class TestBuild:
                        "b17d19a6f94b761476f19ea8b979d0a4"},
             id="build-json"),
         pytest.param(
+            ["build", "--n", "10000", "--seed", "0"],
+            {"g.edges": "e3ac6d1283a9a679bc2e2e3ec04da2bf"
+                        "3e6d37782fd4e0516173d4f5fc69c53f",
+             "g.edges.json": "8075c22a1a91f98797c5d1ba8ca60113"
+                             "cb04c01ebe3825bbe32c26c64477d2a1"},
+            id="build-edgelist-n10000"),
+        pytest.param(
             ["hyper", "--explicit", "--N", "7", "--n", "40", "--p", "0.3",
              "--k", "10", "--seed", "3"],
             {"h.triples": "3f567180550b6cd20824500c88f50d9a"
@@ -108,6 +115,14 @@ class TestBuild:
         for name, digest in files.items():
             data = (tmp_path / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+        # and reading them back loses nothing the writer puts out
+        again = tmp_path / "again"
+        again.mkdir()
+        fmt = "json" if "json" in argv else "edgelist"
+        write_instance(read_instance(str(out)), str(again / out.name), fmt=fmt)
+        assert sorted(os.listdir(again)) == sorted(files)
+        for name in files:
+            assert (again / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_usage_errors(self, tmp_path):
         assert run(["build"]) == 2                      # no --n
@@ -158,6 +173,28 @@ class TestVerify:
         with open(path + ".json", "w") as fh:
             fh.write(json.dumps(side))
         assert run(["verify", path]) == 1
+
+    @pytest.mark.parametrize("line, shown", [
+        (b"1 2.5", "b'.' is not"), (b"+1 2", "b'+' is not"),
+        (b"-1 2", "b'-' is not"), (b"1\x002", "b'\\x00' is not"),
+        (b"1\x1c2", "b'\\x1c' is not"),
+        ("1 2 é".encode(), "b'\\xc3' is not"),
+        ("1\u20032".encode(), "b'\\xe2' is not"),
+        (b"1 " + b"9" * 20, "integer too large"),
+    ], ids=["decimal", "plus", "minus", "nul", "x1c", "e-acute", "em-space",
+            "20-digits"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_malformed_line_named(self, tmp_path, capsys, line, shown, newline):
+        # a byte outside digits, spaces and line breaks, or an integer
+        # beyond int64, is an error that names the file and the line
+        path = str(tmp_path / "bad.edges")
+        with open(path, "wb") as fh:
+            fh.write(newline.join([b"4 2 0", b"3 4", line, b""]))
+        capsys.readouterr()
+        assert run(["verify", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: ") and shown in err
+        assert "Traceback" not in err
 
     def test_report_fields(self, tmp_path, capsys):
         path = build_small(tmp_path)
@@ -228,11 +265,16 @@ class TestDamagedSidecar:
         (lambda s: s.update(m=s["m"] + 0.5), "m must be an integer"),
         (lambda s: s.update(seed=0.5), "seed must be an integer"),
         (lambda s: s.update(seed="0"), "seed must be an integer"),
+        (lambda s: s["base_red_edges"][0].__setitem__(0, True),
+         "base_red_edges must hold integers, got bool values"),
+        (lambda s: s["placement"]["rows"].__setitem__(0, False),
+         "placement rows must hold integers, got bool values"),
     ], ids=["base-float", "base-string", "placement-float", "n-float",
-            "m-float", "seed-float", "seed-string"])
+            "m-float", "seed-float", "seed-string", "base-bool",
+            "placement-bool"])
     def test_non_integer(self, tmp_path, capsys, command, damage, names):
-        # truncating a float or parsing a string would read a different
-        # instance than the file holds
+        # truncating a float, parsing a string or reading true as 1 would
+        # read a different instance than the file holds
         path = self.damaged(tmp_path, damage)
         err = self.assert_error_exit([command, path], capsys)
         assert path + ".json: " in err and names in err
@@ -240,12 +282,14 @@ class TestDamagedSidecar:
     @pytest.mark.parametrize("command", ["verify", "diagnose"])
     def test_non_integer_embedded_edge(self, tmp_path, capsys, command):
         path = build_small(tmp_path, name="inst.json", fmt="json")
-        payload = json.loads(open(path).read())
-        payload["edges"][0][1] += 0.5
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload))
-        err = self.assert_error_exit([command, path], capsys)
-        assert path + ": " in err and "edges must hold integers" in err
+        clean = open(path).read()
+        for damage in (lambda v: v + 0.5, lambda v: True):
+            payload = json.loads(clean)
+            payload["edges"][0][1] = damage(payload["edges"][0][1])
+            with open(path, "w") as fh:
+                fh.write(json.dumps(payload))
+            err = self.assert_error_exit([command, path], capsys)
+            assert path + ": " in err and "edges must hold integers" in err
 
     @pytest.mark.parametrize("command", ["verify", "diagnose"])
     def test_short_placement(self, tmp_path, capsys, command):

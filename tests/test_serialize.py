@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import edge_list_by_split
 
 from trioverlay.construction import build
 from trioverlay.hypergraph import BLUE, RED
@@ -229,6 +230,18 @@ class TestErrors:
         with pytest.raises(ValueError, match="marker"):
             read_instance(path)
 
+    def test_bool_in_cells(self, tmp_path):
+        # numpy would read [true, 3] as [1, 3]
+        par, h = _reduced_system()
+        path = str(tmp_path / "t.triples")
+        write_instance(triple_record(h, params=par), path)
+        side = json.loads(open(path + ".json").read())
+        side["cells"][0][0] = True
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        with pytest.raises(ValueError, match="cells must hold integers, got bool"):
+            read_instance(path)
+
     def test_color_length_mismatch(self, tmp_path):
         body = {"format": "json", "kind": "triples", "n": 4, "m": 1,
                 "seed": 0, "colors": "RB", "triples": [[1, 2, 3]]}
@@ -239,18 +252,31 @@ class TestErrors:
 
 class TestLineWidths:
     def test_matches_str_split_per_line(self):
-        # the per-line definition the vectorized count replaces
+        # the per-line definition the vectorized count replaces, on the
+        # grammar's alphabet; a final "\f" makes splitlines keep the last
+        # line, blank or not, as the count does
         def per_line(text):
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            return [len(ln.split()) for ln in lines], (lines[0] if lines else "")
+            return [len(ln.split()) for ln in (text + "\f").splitlines()]
 
-        alphabet = list("01x \t\n\r\v\f\x00\x1c\x1d\x1e\x1f\x7f"
-                        "\x85\xa0\u2003\u2028\u3000\u3001\xe9")
+        grammar = list(b"01 \t\n\r\v\f")
+        others = [b for b in range(256) if b not in b"0123456789 \t\n\r\v\f"]
         rng = np.random.default_rng(9)
         for _ in range(3000):
-            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 25))))
-            widths, first = _line_widths(text)
-            assert (widths.tolist(), first) == per_line(text), repr(text)
+            size = int(rng.integers(0, 25))
+            data = bytearray(rng.choice(grammar, size=size).tolist())
+            text = data.decode("ascii")
+            if rng.random() < 0.5:
+                assert _line_widths(bytes(data), "t").tolist() == per_line(text), \
+                    repr(text)
+                continue
+            # any other byte is an error naming the line it stands on
+            at = int(rng.integers(0, size + 1))
+            data[at:at] = [int(rng.choice(others))]
+            with pytest.raises(ValueError) as exc:
+                _line_widths(bytes(data), "t")
+            assert str(exc.value) == (
+                f"t: line {len(per_line(text[:at]))}: {bytes(data[at:at + 1])!r}"
+                " is not a digit, space or line break")
 
     def test_crlf_tabs_and_blank_lines_parse_alike(self, tmp_path):
         plain = tmp_path / "a.edges"
@@ -259,6 +285,53 @@ class TestLineWidths:
         odd.write_bytes(b"\r\n 4\t2 0\r\n\r\n1 2\f3\t 4\r\n\n")
         a, b = read_instance(str(plain)), read_instance(str(odd))
         assert np.array_equal(a.edges, b.edges) and (a.n, a.seed) == (b.n, b.seed)
+
+
+class TestSplitOracle:
+    """The one-pass reader against the two-pass parse it replaced."""
+
+    @staticmethod
+    def _text(rng, rows):
+        """rows as lines of decimal tokens with random ASCII spacing, blank
+        lines, CRLF and other line breaks, and leading zeros."""
+        def gap(lo):
+            return "".join(rng.choice([" ", "\t"], size=int(rng.integers(lo, 4))))
+
+        def brk():
+            return str(rng.choice(["\n", "\r\n", "\r", "\v", "\f"]))
+
+        out = [brk() + gap(0) for _ in range(int(rng.integers(0, 2)))]
+        for row in rows:
+            out.append(gap(0) + "".join(
+                ("0" * int(rng.integers(1, 25)) if rng.random() < 0.2 else "")
+                + str(x) + gap(1 if j + 1 < len(row) else 0)
+                for j, x in enumerate(row)) + brk())
+            if rng.random() < 0.2:
+                out.append(gap(0) + brk())
+        return "".join(out)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_random_valid_files(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        path = tmp_path / "r.edges"
+        for _ in range(300):
+            n = int(rng.integers(width, 40))
+            m = int(rng.integers(0, 12))
+            body = np.sort([rng.choice(n, width, replace=False) + 1
+                            for _ in range(m)], axis=-1).reshape(m, width)
+            seed = int(rng.integers(0, 2**63 - 1))  # up to int64 max - 1
+            text = self._text(rng, [[n, m, seed], *body.tolist()])
+            path.write_bytes(text.encode("ascii"))
+            n_ref, m_ref, seed_ref, body_ref = edge_list_by_split(str(path))
+            rec = read_instance(str(path))
+            # with no entry line the file cannot tell triples from edges
+            entries = rec.edges if rec.kind == "graph" else np.array(rec.triples)
+            assert (rec.n, len(entries), rec.seed) == (n_ref, m_ref, seed_ref), \
+                repr(text)
+            assert np.array_equal(entries.ravel() + 1, body_ref.ravel()), \
+                repr(text)
+            assert (n_ref, m_ref, seed_ref) == (n, m, seed)
+            assert np.array_equal(body_ref.ravel(), body.ravel())
 
 
 class TestInstancesEqual:
