@@ -71,13 +71,21 @@ class InstanceRecord:
             self.n, self.edges[:, 0], self.edges[:, 1])
 
 
+# triple colors: the character of flag bits f (1 red, 2 blue, 3 both) is
+# _COLOR_OF_FLAG[f], and _FLAG_OF_COLOR maps each character code back (0
+# for any character but R, B and D)
+_COLOR_OF_FLAG = np.frombuffer(b"?RBD", dtype=np.uint8)
+_FLAG_OF_COLOR = np.zeros(256, dtype=np.uint8)
+_FLAG_OF_COLOR[_COLOR_OF_FLAG[1:]] = (1, 2, 3)
+
+
 @dataclass
 class TripleRecord:
     """Serializable projection of a triple system."""
 
     n: int
     seed: int
-    triples: list  # sorted (u, v, w) 0-based
+    triples: np.ndarray  # (m, 3) int64, 0-based, u < v < w, lex-sorted
     colors: str    # aligned R/B/D characters
     params: Params | None = None
     system_kind: str = "reduced"
@@ -86,13 +94,12 @@ class TripleRecord:
     kind: str = "triples"
 
     def system(self):
-        from .hypergraph import BLUE, RED, TripleSystem
+        from .hypergraph import TripleSystem
 
-        bits = {"R": RED, "B": BLUE, "D": RED | BLUE}
-        h = TripleSystem(order=self.n, kind=self.system_kind, cells=self.cells)
-        for t, c in zip(self.triples, self.colors):
-            h.add(t, bits[c])
-        return h
+        flags = _FLAG_OF_COLOR[np.frombuffer(self.colors.encode(), np.uint8)]
+        return TripleSystem.from_arrays(self.n, self.triples, flags,
+                                        kind=self.system_kind,
+                                        cells=self.cells)
 
 
 def graph_record(placed) -> InstanceRecord:
@@ -112,11 +119,10 @@ def graph_record(placed) -> InstanceRecord:
 
 def triple_record(h, params: Params | None = None, seed: int = 0,
                   stats: dict | None = None) -> TripleRecord:
-    from .hypergraph import BLUE, RED
-
-    chars = {RED: "R", BLUE: "B", RED | BLUE: "D"}
-    triples = h.edges()
-    colors = "".join(chars[h.flags[t]] for t in triples)
+    triples, flags = h.arrays()
+    order = np.lexsort(triples.T[::-1])
+    triples = triples[order]
+    colors = _COLOR_OF_FLAG[flags[order]].tobytes().decode()
     return TripleRecord(
         n=h.order, seed=seed, triples=triples, colors=colors, params=params,
         system_kind=h.kind, cells=None if h.cells is None else h.cells.copy(),
@@ -253,13 +259,19 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
             | (arr[:, 1] == arr[:, 2])
         if bad.any():
             raise ValueError(f"bad triple {tuple(arr[bad.argmax()].tolist())}")
-        triples = list(map(tuple, arr.tolist()))
         cells = payload.get("cells")
         colors = payload.get("colors", "")
-        if len(colors) != len(triples):
+        if not isinstance(colors, str):
+            raise TypeError(
+                f"colors must be a string, got {type(colors).__name__}")
+        if len(colors) != len(arr):
             raise ValueError("color string does not match triple count")
+        odd = colors.lstrip("RBD")  # from the first other character on
+        if odd:
+            raise TypeError(
+                f"colors must hold R, B and D only, got {odd[0]!r}")
         return TripleRecord(
-            n=n, seed=seed, triples=triples, colors=colors, params=params,
+            n=n, seed=seed, triples=arr, colors=colors, params=params,
             system_kind=payload.get("system_kind", "reduced"),
             cells=None if cells is None else _int_array(cells, "cells"),
             stats=stats)

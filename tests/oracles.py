@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -532,3 +532,133 @@ def edge_list_by_split(path: str) -> tuple[int, int, int, np.ndarray]:
     # the header is the first three tokens, so the rest is the body
     body = np.array(text.split()[3:], dtype=np.int64).reshape(m, width)
     return n, m, seed, body
+
+
+# ------------------------------------------------------ triple systems
+# The hypergraph pipeline as it was written over per-triple tuples:
+# every triple built through TripleSystem.add, the reduction ordered by
+# sorted(key=triple_key) and run on LinkIndex bitset dicts.  The package
+# runs the same pipeline on int64 triple arrays and must give the same
+# systems.
+
+
+def sample_base_3graphs_loop(params: Params, seed: int) -> tuple[TripleSystem, TripleSystem]:
+    """Independent binomial 3-graphs on {0..N-1}, each triple kept w.p. p."""
+    from trioverlay.construction import (STREAM_HYPER_BLUE, STREAM_HYPER_RED,
+                                         child_rng)
+    from trioverlay.hypergraph import BLUE, RED, TripleSystem
+
+    N, p = params.N, params.p
+    triples = list(combinations(range(N), 3))
+    out = []
+    for flag, stream, kind in ((RED, STREAM_HYPER_RED, "base-red"),
+                               (BLUE, STREAM_HYPER_BLUE, "base-blue")):
+        rng = child_rng(seed, stream)
+        keep = rng.random(len(triples)) < p
+        h = TripleSystem(order=N, kind=kind)
+        for t, k in zip(triples, keep):
+            if k:
+                h.add(t, flag)
+        out.append(h)
+    return out[0], out[1]
+
+
+def hyper_product_loop(hr: TripleSystem, hb: TripleSystem) -> TripleSystem:
+    """Overlay on the N^2 cells; all six coordinates of a triple distinct."""
+    from trioverlay.hypergraph import (_MAX_PRODUCT_TRIPLES, BLUE, RED,
+                                       TripleSystem)
+
+    if hr.order != hb.order:
+        raise ValueError("base systems must share N")
+    N = hr.order
+    combos = list(combinations(range(N), 3))
+    expected = (hr.edge_count() + hb.edge_count()) * len(combos) * 6
+    if expected > _MAX_PRODUCT_TRIPLES:
+        raise ValueError(f"product would enumerate ~{expected} triples; too large")
+    cells = np.array([(i, j) for i in range(N) for j in range(N)], dtype=np.int64)
+    h = TripleSystem(order=N * N, kind="product", cells=cells)
+    for rows in hr.edges():
+        for cols in combos:
+            for perm in permutations(cols):
+                h.add(tuple(r * N + c for r, c in zip(rows, perm)), RED)
+    for cols in hb.edges():
+        for rows in combos:
+            for perm in permutations(rows):
+                h.add(tuple(r * N + c for r, c in zip(perm, cols)), BLUE)
+    return h
+
+
+def inject_hyper_loop(h1: TripleSystem, params: Params, seed: int) -> TripleSystem:
+    """Uniform injection of {0..n-1} into cells; keep fully placed triples."""
+    from trioverlay.construction import STREAM_HYPER_PHI, child_rng
+    from trioverlay.hypergraph import TripleSystem
+
+    params.require_injectable()
+    if h1.order != params.N * params.N:
+        raise ValueError("product order does not match params")
+    rng = child_rng(seed, STREAM_HYPER_PHI)
+    cell_ids = rng.choice(h1.order, size=params.n, replace=False)
+    vertex_of = {int(c): v for v, c in enumerate(cell_ids)}
+    cells = np.column_stack([cell_ids // params.N, cell_ids % params.N]).astype(np.int64)
+    h2 = TripleSystem(order=params.n, kind="induced", cells=cells)
+    for t, f in h1.flags.items():
+        if all(c in vertex_of for c in t):
+            h2.add(tuple(vertex_of[c] for c in t), f)
+    return h2
+
+
+def s4_reduction_loop(h2: TripleSystem) -> TripleSystem:
+    """Four-pass flag removal; the result carries no star on any center."""
+    from trioverlay.hypergraph import BLUE, RED, LinkIndex, TripleSystem, _norm
+
+    order = h2.order
+    key = h2.triple_key
+    result = TripleSystem(order=order, kind="reduced", cells=h2.cells)
+
+    # pass (a): red flags greedily, no all-red star
+    red_index = LinkIndex(order)
+    for t in sorted((t for t, f in h2.flags.items() if f & RED), key=key):
+        if not red_index.creates_star(t):
+            red_index.add(t)
+            result.add(t, RED)
+    # pass (b): blue flags against accepted blue flags
+    blue_index = LinkIndex(order)
+    for t in sorted((t for t, f in h2.flags.items() if f & BLUE), key=key):
+        if not blue_index.creates_star(t):
+            blue_index.add(t)
+            result.add(t, BLUE)
+
+    presence = LinkIndex(order)
+    for t in result.flags:
+        presence.add(t)
+
+    def remove_flag(t, flag):
+        f = result.flags[t] & ~flag
+        if f:
+            result.flags[t] = f
+        else:
+            del result.flags[t]
+            presence.remove(t)
+
+    def sweep(two_flag: int, third_flag: int):
+        # snapshot current star copies, then recheck liveness as flags fall
+        copies = []
+        for c in range(order):
+            for (u, w, z) in presence.link_triangles(c):
+                copies.append((c, u, w, z))
+        for c, u, w, z in copies:
+            tris = [_norm((c, u, w)), _norm((c, u, z)), _norm((c, w, z))]
+            fl = [result.flags.get(t, 0) for t in tris]
+            if 0 in fl:
+                continue  # copy already destroyed
+            flagged = [i for i, f in enumerate(fl) if f & two_flag]
+            if len(flagged) == 2:
+                third = next(i for i in range(3) if i not in flagged)
+                if fl[third] & third_flag:
+                    remove_flag(tris[third], third_flag)
+
+    # pass (c): two blue edges, one red edge -> red edge removed
+    sweep(BLUE, RED)
+    # pass (d): two red edges, one blue edge -> blue edge removed
+    sweep(RED, BLUE)
+    return result

@@ -279,6 +279,22 @@ class TestDamagedSidecar:
         err = self.assert_error_exit([command, path], capsys)
         assert path + ".json: " in err and names in err
 
+    @pytest.mark.parametrize("colors, names", [
+        (lambda c: "X" + c[1:], "colors must hold R, B and D only, got 'X'"),
+        (lambda c: list(c), "colors must be a string, got list"),
+    ], ids=["X", "list"])
+    def test_unknown_colors(self, tmp_path, capsys, colors, names):
+        # verify read an 'X' into a KeyError traceback
+        path = str(tmp_path / "h.triples")
+        assert run(["hyper", "--explicit", "--N", "4", "--n", "16", "--p",
+                    "0.5", "--k", "3", "--seed", "0", "--out", path]) == 0
+        side = json.loads(open(path + ".json").read())
+        side["colors"] = colors(side["colors"])
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        err = self.assert_error_exit(["verify", path], capsys)
+        assert path + ".json: " in err and names in err
+
     @pytest.mark.parametrize("command", ["verify", "diagnose"])
     def test_non_integer_embedded_edge(self, tmp_path, capsys, command):
         path = build_small(tmp_path, name="inst.json", fmt="json")

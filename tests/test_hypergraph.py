@@ -10,13 +10,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from trioverlay import hypergraph
 from trioverlay.hypergraph import (BLUE, RED, LinkIndex, TripleSystem,
                                    extract_link, hyper_product, inject_hyper,
                                    s4_reduction, sample_base_3graphs,
                                    verify_s4_free)
 from trioverlay.params import Params, explicit_params
 
-from oracles import count_stars_bruteforce, star_free_bruteforce
+from oracles import (count_stars_bruteforce, hyper_product_loop,
+                     inject_hyper_loop, s4_reduction_loop,
+                     sample_base_3graphs_loop, star_free_bruteforce)
 
 
 def _pipeline(N, p, seed):
@@ -52,9 +55,38 @@ class TestTripleSystem:
         with pytest.raises(ValueError):
             h.add((0, 1, 4), RED)
         with pytest.raises(ValueError):
+            h.add((-1, 0, 1), RED)
+        with pytest.raises(ValueError):
             h.add((0, 1, 2), 0)
         with pytest.raises(ValueError):
             h.add((0, 1, 2), 4)
+
+    def test_from_arrays_matches_add(self):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 7, size=(60, 3))
+        rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])
+                    & (rows[:, 0] != rows[:, 2])]  # unsorted, some repeated
+        flags = rng.integers(1, 4, size=len(rows))
+        h = TripleSystem(order=7, kind="x")
+        for t, f in zip(rows.tolist(), flags.tolist()):
+            h.add(t, f)
+        bulk = TripleSystem.from_arrays(7, rows, flags, kind="x")
+        assert bulk.flags == h.flags and bulk.kind == "x"
+        assert all(type(f) is int for f in bulk.flags.values())
+        t, f = bulk.arrays()
+        assert t.dtype == np.int64 and f.dtype == np.uint8
+        assert dict(zip(map(tuple, t.tolist()), f.tolist())) == h.flags
+        empty = TripleSystem.from_arrays(4, np.zeros((0, 3)), [])
+        assert empty.flags == {} and empty.arrays()[0].shape == (0, 3)
+
+    @pytest.mark.parametrize("rows, flags", [
+        ([(0, 0, 1)], [RED]), ([(0, 1, 4)], [RED]), ([(-1, 0, 1)], [RED]),
+        ([(0, 1, 2)], [0]), ([(0, 1, 2)], [4]), ([(0, 1, 2)], [RED, BLUE]),
+    ], ids=["repeated", "beyond-order", "negative", "flag-0", "flag-4",
+            "two-flags"])
+    def test_from_arrays_rejects_what_add_rejects(self, rows, flags):
+        with pytest.raises(ValueError):
+            TripleSystem.from_arrays(4, rows, flags)
 
     def test_triple_key_uses_cells_when_placed(self):
         h = TripleSystem(order=3)
@@ -370,3 +402,129 @@ class TestLinks:
         ok.add((1, 2, 4), RED)
         assert verify_s4_free(ok)
         assert star_free_bruteforce(ok)
+
+
+# ---------------------------------------------------------------------------
+# the array pipeline against the per-triple loops it replaced
+
+# both desk shapes x 30 seeds, then N = 3..8 at n = N^2 x p x 3 seeds
+PIPELINE_CASES = ([(7, 40, 0.3, s) for s in range(30)]
+                  + [(8, 50, 0.3, s) for s in range(30)]
+                  + [(N, N * N, p, s) for N in range(3, 9)
+                     for p in (0.2, 0.5, 1.0) for s in range(3)])
+
+
+def _same_system(got, want):
+    assert got.flags == want.flags
+    assert got.kind == want.kind and got.order == want.order
+    assert (got.cells is None) == (want.cells is None)
+    if want.cells is not None:
+        assert got.cells.dtype == want.cells.dtype
+        assert np.array_equal(got.cells, want.cells)
+    assert got.edge_count() == want.edge_count()
+    for flag in (RED, BLUE, RED | BLUE):
+        assert got.count_with(flag) == want.count_with(flag)
+
+
+def _shuffled(h, rng, cells="keep"):
+    """h with its triples inserted in random order; cells replaced by a
+    random placement on distinct cells, dropped (None) or kept."""
+    items = list(h.flags.items())
+    out = TripleSystem(order=h.order, kind=h.kind, cells=h.cells)
+    if cells == "random":
+        grid = max(2, h.order)
+        ids = rng.choice(grid * grid, size=h.order, replace=False)
+        out.cells = np.column_stack([ids // grid, ids % grid])
+    elif cells is None:
+        out.cells = None
+    for i in rng.permutation(len(items)):
+        t, f = items[i]
+        out.add(t[::-1] if i % 2 else t, f)
+    return out
+
+
+STAR_SHAPES = {  # the pass (c) and (d) shapes of TestS4Reduction
+    "pass-c": [((0, 1, 2), BLUE), ((0, 1, 3), BLUE), ((0, 2, 3), RED)],
+    "pass-d": [((0, 1, 2), RED), ((0, 1, 3), RED), ((0, 2, 3), BLUE)],
+    "dual-third": [((0, 1, 2), BLUE), ((0, 1, 3), BLUE),
+                   ((0, 2, 3), RED | BLUE)],
+    "chained": [((0, 1, 2), BLUE), ((0, 1, 3), BLUE), ((0, 2, 3), RED),
+                ((0, 2, 4), BLUE), ((0, 3, 4), BLUE)],
+}
+
+
+class TestMatchesLoops:
+    @pytest.mark.parametrize("N, n, p, seed", PIPELINE_CASES)
+    def test_pipeline(self, N, n, p, seed):
+        par = explicit_params(n=n, N=N, p=p, k=3)
+        hr, hb = sample_base_3graphs(par, seed)
+        want_r, want_b = sample_base_3graphs_loop(par, seed)
+        _same_system(hr, want_r)
+        _same_system(hb, want_b)
+        h1, want1 = hyper_product(hr, hb), hyper_product_loop(want_r, want_b)
+        _same_system(h1, want1)
+        h2, want2 = inject_hyper(h1, par, seed), inject_hyper_loop(want1, par, seed)
+        _same_system(h2, want2)
+        h3, want3 = s4_reduction(h2), s4_reduction_loop(want2)
+        _same_system(h3, want3)
+        assert h3.cells is h2.cells
+        assert verify_s4_free(h3)
+
+    @pytest.mark.parametrize("cells", ["keep", "random", None])
+    def test_reduction_on_shuffled_systems(self, cells):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(4, 11))
+            pool = list(combinations(range(n), 3))
+            density = rng.uniform(0.2, 0.9)
+            h = TripleSystem(order=n)
+            for t in pool:
+                if rng.random() < density:
+                    h.add(t, int(rng.integers(1, 4)))
+            for _ in range(2):
+                hs = _shuffled(h, rng, cells)
+                _same_system(s4_reduction(hs), s4_reduction_loop(hs))
+
+    @pytest.mark.parametrize("shape", sorted(STAR_SHAPES))
+    @pytest.mark.parametrize("cells", ["keep", "random", None])
+    def test_star_shapes(self, shape, cells):
+        rng = np.random.default_rng(len(shape))
+        h = TripleSystem(order=5)
+        for t, f in STAR_SHAPES[shape]:
+            h.add(t, f)
+        for _ in range(6):
+            hs = _shuffled(h, rng, cells)
+            _same_system(s4_reduction(hs), s4_reduction_loop(hs))
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64])
+    def test_star_copy_blocks(self, monkeypatch, block):
+        # the copies come in blocks of at most _PAIR_BLOCK link-edge pairs;
+        # any block size gives the same copies, reduction and verdict
+        _, _, _, _, h2 = _pipeline(N=5, p=0.6, seed=1)
+        triples = h2.arrays()[0]
+        whole = np.concatenate(
+            list(hypergraph._star_copies(triples, h2.order)), axis=1)
+        assert whole.shape[1] == count_stars_bruteforce(h2) > 0
+        monkeypatch.setattr(hypergraph, "_PAIR_BLOCK", block)
+        blocks = list(hypergraph._star_copies(triples, h2.order))
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+        assert not verify_s4_free(h2)
+        out = s4_reduction(h2)
+        assert out.flags == s4_reduction_loop(h2).flags
+        assert verify_s4_free(out)
+
+    def test_cell_ties_break_by_vertex_triple(self):
+        # every vertex on one cell: the scan falls back to vertex order,
+        # whatever order the triples were inserted in
+        rng = np.random.default_rng(2)
+        _, _, _, _, h2 = _pipeline(N=4, p=0.6, seed=5)
+        by_vertex = TripleSystem(order=h2.order)
+        for t in sorted(h2.flags):
+            by_vertex.add(t, h2.flags[t])
+        want = s4_reduction_loop(by_vertex).flags
+        for _ in range(3):
+            hs = _shuffled(h2, rng)
+            hs.cells = np.zeros((h2.order, 2), dtype=np.int64)
+            assert s4_reduction(hs).flags == want
+

@@ -147,7 +147,8 @@ class TestTripleRoundTrip:
         h.add((0, 1, 3), BLUE)
         h.add((1, 2, 4), RED | BLUE)
         rec = triple_record(h)
-        assert rec.triples == [(0, 1, 2), (0, 1, 3), (1, 2, 4)]
+        assert np.array_equal(rec.triples, [(0, 1, 2), (0, 1, 3), (1, 2, 4)])
+        assert rec.triples.dtype == np.int64
         assert rec.colors == "RBD"
         assert rec.system().flags == h.flags
 
@@ -159,7 +160,7 @@ class TestTripleRoundTrip:
         os.remove(path + ".json")
         back = read_instance(path)
         assert back.kind == "triples"
-        assert back.triples == rec.triples
+        assert np.array_equal(back.triples, rec.triples)
         assert back.colors == "D" * len(rec.triples)  # flags were lost
         assert back.params is None
 
@@ -248,6 +249,29 @@ class TestErrors:
         path = self._write(tmp_path, json.dumps(body), "t.json")
         with pytest.raises(ValueError, match="color"):
             read_instance(path)
+
+    @pytest.mark.parametrize("colors, names", [
+        ("RXD", "colors must hold R, B and D only, got 'X'"),
+        ("RBr", "colors must hold R, B and D only, got 'r'"),
+        (["R", "B", "D"], "colors must be a string, got list"),
+        (7, "colors must be a string, got int"),
+    ], ids=["X", "lower-case", "list", "int"])
+    def test_unknown_colors(self, tmp_path, colors, names):
+        # the sidecar of an edge-list file and the JSON format alike
+        side = {"kind": "triples", "n": 5, "m": 3, "seed": 0,
+                "colors": colors}
+        path = self._write(tmp_path, "5 3 0\n1 2 3\n1 2 4\n2 3 5\n",
+                           "t.triples")
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        embedded = self._write(tmp_path, json.dumps(dict(
+            side, format="json", triples=[[1, 2, 3], [1, 2, 4], [2, 3, 5]])),
+            "t.json")
+        for source, named in ((path, path + ".json"), (embedded, embedded)):
+            with pytest.raises(ValueError) as exc:
+                read_instance(source)
+            assert str(exc.value).startswith(named + ": ")
+            assert names in str(exc.value)
 
 
 class TestLineWidths:
