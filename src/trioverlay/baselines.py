@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import STREAM_EDGE_DELETION, STREAM_PROCESS, child_rng
-from .graphview import SimpleGraphView, count_triangles
+from .graphview import SimpleGraphView, count_triangles, pack_bits
 
 __all__ = ["BaselineResult", "edge_deletion_baseline", "triangle_free_process"]
 
@@ -56,12 +56,9 @@ def edge_deletion_baseline(n: int, p: float, seed: int) -> BaselineResult:
 
     # bitset rows: above[b] holds the neighbours of b above b, packed[a] all
     # neighbours of a
-    def bits(x):
-        return np.uint64(1) << (x & 63).astype(np.uint64)
-    above = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    np.bitwise_or.at(above, (us, vs >> 6), bits(vs))
-    packed = above.copy()
-    np.bitwise_or.at(packed, (vs, us >> 6), bits(us))
+    above = pack_bits(n, us, vs)
+    packed = pack_bits(n, vs, us)
+    packed |= above
     # N(a) & above(b) over edge (a, b) holds the c of each triangle a < b < c
     # once: its size sums to the triangle count, and (a, b) goes iff nonempty
     apexes = np.zeros(us.size, dtype=np.int64)

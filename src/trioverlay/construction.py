@@ -262,12 +262,12 @@ def conormal_product(gr: BaseGraph, gb: BaseGraph) -> ColoredProductGraph:
     if gr.N != gb.N:
         raise ValueError("base graphs must share N")
     N = gr.N
-    free_rows = np.ones((N, N), dtype=bool)  # no constraint on the other side
+    free = np.broadcast_to(True, (N, N))  # read-only: no constraint on that side
     return ColoredProductGraph(
         N=N,
         red_row=gr.adj.copy(),
-        red_col=free_rows.copy(),
-        blue_row=free_rows.copy(),
+        red_col=free,
+        blue_row=free,
         blue_col=gb.adj.copy(),
         stage="product",
     )

@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SimpleGraphView", "count_triangles"]
+__all__ = ["SimpleGraphView", "count_triangles", "pack_bits"]
+
+
+def pack_bits(n: int, heads, tails) -> np.ndarray:
+    """(n, ceil(n/64)) uint64 rows with bit t of row h set for each pair
+    (heads[i], tails[i]): bit t is bit t & 63 of word t >> 6."""
+    tails = np.asarray(tails, dtype=np.int64)
+    packed = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(packed, (heads, tails >> 6),
+                     np.uint64(1) << (tails & 63).astype(np.uint64))
+    return packed
 
 
 class SimpleGraphView:
@@ -26,23 +36,21 @@ class SimpleGraphView:
 
     @classmethod
     def from_edge_arrays(cls, n: int, us: np.ndarray, vs: np.ndarray) -> "SimpleGraphView":
-        """Build from undirected edge endpoint arrays (u != v, no duplicates)."""
+        """Build from undirected edge endpoint arrays (u != v in 0..n-1, no
+        duplicates).  One sort of the 2m adjacency keys h * n + t gives the
+        rows, the order within them, the duplicate test and indptr."""
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        if us.size and (us == vs).any():
+        if us.size and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n):
+            raise ValueError(f"edge endpoint outside 0..{n - 1}")
+        if (us == vs).any():
             raise ValueError("self-loop in edge list")
-        heads = np.concatenate([us, vs])
-        tails = np.concatenate([vs, us])
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
-        if heads.size > 1:
-            dup = (np.diff(heads) == 0) & (np.diff(tails) == 0)
-            if dup.any():
-                raise ValueError("duplicate edge in edge list")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, tails.astype(np.int32))
+        keys = np.concatenate([us * n + vs, vs * n + us])
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate edge in edge list")
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return cls(n, indptr, (keys % n).astype(np.int32))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "SimpleGraphView":
@@ -98,13 +106,8 @@ class SimpleGraphView:
     def packed_rows(self) -> np.ndarray:
         """(n, ceil(n/64)) uint64 bitset adjacency, bit v of row u <=> edge uv."""
         if self._packed is None:
-            words = (self.n + 63) // 64
-            packed = np.zeros((self.n, words), dtype=np.uint64)
             heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            cols = self.indices.astype(np.int64)
-            np.bitwise_or.at(packed, (heads, cols >> 6),
-                             np.uint64(1) << (cols & 63).astype(np.uint64))
-            self._packed = packed
+            self._packed = pack_bits(self.n, heads, self.indices)
         return self._packed
 
     def subgraph(self, vertices) -> "SimpleGraphView":

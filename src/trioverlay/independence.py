@@ -39,11 +39,9 @@ class IndependenceResult:
 
 
 def _bitmask_rows(g: SimpleGraphView) -> list[int]:
-    rows = [0] * g.n
-    heads = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    for u, v in zip(heads.tolist(), g.indices.tolist()):
-        rows[u] |= 1 << v
-    return rows
+    """Row u as a Python int with bit v set iff uv is an edge."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in g.packed_rows().astype("<u8", copy=False)]
 
 
 def is_independent_set(g: SimpleGraphView, vertices) -> bool:

@@ -662,3 +662,52 @@ def s4_reduction_loop(h2: TripleSystem) -> TripleSystem:
     # pass (d): two red edges, one blue edge -> blue edge removed
     sweep(RED, BLUE)
     return result
+
+
+# -------------------------------------------------------- graph containers
+# The CSR assembly and the bit packings as they were written before the
+# package built its CSR from one sort of adjacency keys and packed every
+# bitset through graphview.pack_bits: a lexsort of (head, tail) entries with
+# np.add.at row counts, a per-entry loop into Python-int rows, and the edge-
+# deletion baseline's own uint64 packing.
+
+
+def csr_by_lexsort(n: int, us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of SimpleGraphView.from_edge_arrays as a lexsort."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if us.size and (us == vs).any():
+        raise ValueError("self-loop in edge list")
+    heads = np.concatenate([us, vs])
+    tails = np.concatenate([vs, us])
+    order = np.lexsort((tails, heads))
+    heads, tails = heads[order], tails[order]
+    if heads.size > 1:
+        dup = (np.diff(heads) == 0) & (np.diff(tails) == 0)
+        if dup.any():
+            raise ValueError("duplicate edge in edge list")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, heads + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, tails.astype(np.int32)
+
+
+def bitmask_rows_loop(g) -> list[int]:
+    """Adjacency rows of g as Python ints, one entry at a time."""
+    rows = [0] * g.n
+    heads = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    for u, v in zip(heads.tolist(), g.indices.tolist()):
+        rows[u] |= 1 << v
+    return rows
+
+
+def deletion_bitsets(n: int, us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """(above, packed) bitset rows of the edge-deletion baseline's G(n, p):
+    above[b] holds the neighbours of b above b, packed[a] all of a's."""
+    def bits(x):
+        return np.uint64(1) << (x & 63).astype(np.uint64)
+    above = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    np.bitwise_or.at(above, (us, vs >> 6), bits(vs))
+    packed = above.copy()
+    np.bitwise_or.at(packed, (vs, us >> 6), bits(us))
+    return above, packed

@@ -149,6 +149,48 @@ class TestHyper:
         assert rec.kind == "triples"
         assert run(["verify", path]) == 0
 
+    def hyper_file(self, tmp_path):
+        path = str(tmp_path / "h.triples")
+        assert run(["hyper", "--explicit", "--N", "4", "--n", "16", "--p",
+                    "0.5", "--k", "3", "--seed", "0", "--out", path]) == 0
+        return path
+
+    def verify_json(self, path, capsys):
+        capsys.readouterr()
+        code = run(["verify", path, "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_verify_report_fields(self, tmp_path, capsys):
+        code, report = self.verify_json(self.hyper_file(tmp_path), capsys)
+        assert code == 0
+        assert report["checks"] == {"s4_free": True, "stats_match": True}
+
+    @pytest.mark.parametrize("key", ["reduced_triples", "reduced_red",
+                                     "reduced_blue"])
+    def test_stats_mismatch_fails(self, tmp_path, capsys, key):
+        # the sidecar's reduced counts are checked against the file's
+        # triples and colours
+        path = self.hyper_file(tmp_path)
+        side = json.loads(open(path + ".json").read())
+        side["stats"][key] += 1
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        code, report = self.verify_json(path, capsys)
+        assert code == 1
+        assert report["checks"] == {"s4_free": True, "stats_match": False}
+
+    @pytest.mark.parametrize("stats", [{}, {"reduced_red": 0}, [1]],
+                             ids=["none", "partial", "list"])
+    def test_stats_check_needs_the_counts(self, tmp_path, capsys, stats):
+        path = self.hyper_file(tmp_path)
+        side = json.loads(open(path + ".json").read())
+        side["stats"] = stats
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        code, report = self.verify_json(path, capsys)
+        assert code == 0
+        assert report["checks"] == {"s4_free": True}
+
 
 class TestVerify:
     def test_triangle_rejected(self, tmp_path):
@@ -202,10 +244,10 @@ class TestVerify:
         assert run(["verify", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         checks = report["checks"]
-        for key in ("triangle_free", "alpha_at_least_max_degree",
-                    "params_roundtrip", "n_matches_params",
-                    "edges_rederivable"):
-            assert checks[key] is True, key
+        assert checks == {"triangle_free": True,
+                          "alpha_at_least_max_degree": True,
+                          "n_matches_params": True,
+                          "edges_rederivable": True}
         assert report["ok"] is True
         assert len(report["concentration"]["checks"]) == 7
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import triangles_bruteforce, triangles_dense
-from trioverlay.graphview import SimpleGraphView, count_triangles
+from oracles import (csr_by_lexsort, deletion_bitsets, triangles_bruteforce,
+                     triangles_dense)
+from trioverlay.construction import build
+from trioverlay.graphview import SimpleGraphView, count_triangles, pack_bits
+from trioverlay.params import feasible_params
 
 
 def random_graph(rng, n, p):
@@ -28,6 +31,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SimpleGraphView.from_edge_arrays(
                 3, np.array([0, 1]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("us, vs", [([-1], [1]), ([0], [3]), ([1, 2], [0, 5]),
+                                        ([-3], [-2]), ([0, 1], [2, -1])])
+    def test_rejects_endpoint_out_of_range(self, us, vs):
+        # a key h * n + t outside 0..n-1 would land in another row
+        with pytest.raises(ValueError, match=r"edge endpoint outside 0\.\.2"):
+            SimpleGraphView.from_edge_arrays(3, np.array(us), np.array(vs))
 
     def test_edge_array_sorted(self):
         rng = np.random.default_rng(5)
@@ -110,3 +120,70 @@ class TestPackedRows:
                     if bits >> b & 1:
                         mask[w * 64 + b] = True
             assert (mask == dense[v]).all()
+
+
+def assert_same_csr(n, us, vs):
+    g = SimpleGraphView.from_edge_arrays(n, us, vs)
+    indptr, indices = csr_by_lexsort(n, us, vs)
+    for got, want in ((g.indptr, indptr), (g.indices, indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def shuffled_and_swapped(rng, us, vs):
+    """The same edges in random order, each with its endpoints swapped at
+    random."""
+    order = rng.permutation(us.size)
+    swap = rng.random(us.size) < 0.5
+    return np.where(swap, vs, us)[order], np.where(swap, us, vs)[order]
+
+
+class TestMatchesLexsort:
+    """from_edge_arrays against the lexsort assembly it replaced."""
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for n in range(61):
+            iu, ju = np.triu_indices(n, 1)
+            # 0 and 1 give the empty and the complete graph
+            for p in (0.0, 0.1, 0.5, 1.0):
+                keep = rng.random(iu.size) < p
+                us, vs = iu[keep], ju[keep]
+                assert_same_csr(n, us, vs)
+                su, sv = shuffled_and_swapped(rng, us, vs)
+                assert_same_csr(n, su, sv)
+                assert_same_csr(n, su.tolist(), sv.tolist())
+
+    def test_built_instance(self):
+        edges = build(feasible_params(2000), 0).graph.edge_array()
+        us, vs = edges[:, 0], edges[:, 1]
+        assert_same_csr(2000, us, vs)
+        assert_same_csr(2000, *shuffled_and_swapped(np.random.default_rng(12),
+                                                    us, vs))
+
+    @pytest.mark.parametrize("us, vs", [
+        ([1], [1]), ([0, 2, 3], [1, 2, 0]),
+        ([0, 1], [1, 0]), ([2, 0, 3], [3, 1, 2]), ([0, 0], [1, 1]),
+    ], ids=["loop", "loop-among-edges", "swapped-dup", "dup-among-edges",
+            "same-dup"])
+    def test_same_errors(self, us, vs):
+        with pytest.raises(ValueError) as want:
+            csr_by_lexsort(4, us, vs)
+        with pytest.raises(ValueError) as got:
+            SimpleGraphView.from_edge_arrays(4, us, vs)
+        assert str(got.value) == str(want.value)
+
+
+class TestPackBits:
+    def test_matches_deletion_packing(self):
+        # the edge-deletion baseline's two packings, above the diagonal and
+        # in both directions
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 63, 64, 65, 130):
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < 0.3
+            us, vs = iu[keep], ju[keep]
+            above, packed = deletion_bitsets(n, us, vs)
+            got = pack_bits(n, us, vs)
+            assert got.dtype == above.dtype and np.array_equal(got, above)
+            rows = SimpleGraphView.from_edge_arrays(n, us, vs).packed_rows()
+            assert np.array_equal(rows, packed)

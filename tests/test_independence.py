@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import alpha_bruteforce, greedy_min_degree_heap
+from oracles import alpha_bruteforce, bitmask_rows_loop, greedy_min_degree_heap
+from trioverlay import independence
 from trioverlay.construction import build, child_rng
 from trioverlay.graphview import SimpleGraphView, count_triangles
-from trioverlay.independence import (_greedy_min_degree, independence_exact,
-                                     independence_greedy, is_independent_set)
-from trioverlay.params import feasible_params
+from trioverlay.independence import (_bitmask_rows, _greedy_min_degree,
+                                     independence_exact, independence_greedy,
+                                     is_independent_set)
+from trioverlay.params import explicit_params, feasible_params
 
 
 def random_graph(rng, n, p):
@@ -145,3 +147,25 @@ class TestIsIndependent:
             s = rng.choice(30, size=int(rng.integers(0, 8)), replace=False).tolist()
             want = not any((u, v) in edges for u in s for v in s)
             assert is_independent_set(h, s) == want
+
+
+class TestBitmaskRows:
+    """Python-int rows from packed_rows against the per-entry loop."""
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(14)
+        for n in (0, 1, 2, 63, 64, 65, 129):
+            for p in (0.0, 0.2, 1.0):
+                g = random_graph(rng, n, p)
+                assert _bitmask_rows(g) == bitmask_rows_loop(g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_solver_unchanged(self, seed, monkeypatch):
+        # the shape of the benchmark's exact-alpha pool
+        g = build(explicit_params(n=120, N=12, p=0.3, k=20), seed).graph
+        assert _bitmask_rows(g) == bitmask_rows_loop(g)
+        got = independence_exact(g)
+        monkeypatch.setattr(independence, "_bitmask_rows", bitmask_rows_loop)
+        want = independence_exact(g)
+        assert (got.value, got.certificate, got.optimal, got.nodes) == \
+            (want.value, want.certificate, want.optimal, want.nodes)
