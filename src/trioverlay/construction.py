@@ -304,17 +304,18 @@ class Placement:
     cols: np.ndarray  # (n,) int32
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int32)
-        self.cols = np.asarray(self.cols, dtype=np.int32)
-        if self.rows.shape != self.cols.shape or self.rows.ndim != 1:
+        # check the int64 values before narrowing them: int32 would wrap
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError("rows/cols must be equal-length vectors")
-        ids = self.cell_ids()
+        if rows.size and (min(rows.min(), cols.min()) < 0
+                          or max(rows.max(), cols.max()) >= self.N):
+            raise ValueError("cell out of range")
+        ids = rows * self.N + cols
         if np.unique(ids).size != ids.size:
             raise ValueError("placement is not injective")
-        if self.rows.size and not (
-                (self.rows >= 0).all() and (self.rows < self.N).all()
-                and (self.cols >= 0).all() and (self.cols < self.N).all()):
-            raise ValueError("cell out of range")
+        self.rows, self.cols = rows.astype(np.int32), cols.astype(np.int32)
 
     @property
     def n(self) -> int:
@@ -354,21 +355,48 @@ class PlacedGraph:
         return self.graph.n
 
 
-def _placed_adjacency(product: ColoredProductGraph, placement: Placement,
-                      block: int = 2048):
-    """Edge arrays (u < v, lexicographic) of the placed graph: O(n^2) gathers."""
+def _fibers(coords: np.ndarray, N: int):
+    """Placed vertices grouped by one coordinate: (order, start, count), so
+    that fiber(c) = order[start[c]:start[c] + count[c]]."""
+    order = np.argsort(coords, kind="stable")
+    count = np.bincount(coords, minlength=N)
+    return order, np.cumsum(count) - count, count
+
+
+def _fiber_pairs(fibers, a: np.ndarray, b: np.ndarray):
+    """(u, v) over fiber(a[t]) x fiber(b[t]) for every t."""
+    order, start, count = fibers
+    cb = count[b]
+    sizes = count[a] * cb
+    offsets = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    q, s = np.divmod(offsets, np.repeat(cb, sizes))
+    return (order[np.repeat(start[a], sizes) + q],
+            order[np.repeat(start[b], sizes) + s])
+
+
+def _placed_adjacency(product: ColoredProductGraph, placement: Placement):
+    """Edge arrays (u, v) of the placed graph, each edge once, in no
+    particular order: O(m) fiber pairs instead of n^2 pair decisions.
+
+    A red flag needs a red_row pair of rows, a blue flag a blue_col pair of
+    columns.  Both matrices are symmetric with empty diagonals at either
+    stage (BaseGraph.adj, or BaseGraph.adj masked), so the red pass takes
+    the fibers of every red_row pair i < k and keeps the pairs with a
+    red_col flag; the blue pass does the same over blue_col pairs j < l,
+    filtered by blue_row, and drops the pairs the red pass already holds.
+    """
     rows, cols = placement.rows, placement.cols
-    n = placement.n
-    us, vs = [], []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        red, blue = product.flag_blocks((rows[start:stop], cols[start:stop]),
-                                        (rows, cols))
-        a, b = np.nonzero(red | blue)
-        keep = (a + start) < b
-        us.append(a[keep] + start)
-        vs.append(b[keep])
-    return np.concatenate(us), np.concatenate(vs)
+    red_row, red_col = product.red_row, product.red_col
+    u, v = _fiber_pairs(_fibers(rows, product.N),
+                        *np.nonzero(np.triu(red_row, 1)))
+    keep = red_col[cols[u], cols[v]]
+    red_u, red_v = u[keep], v[keep]
+    u, v = _fiber_pairs(_fibers(cols, product.N),
+                        *np.nonzero(np.triu(product.blue_col, 1)))
+    ru, rv = rows[u], rows[v]
+    keep = product.blue_row[ru, rv] & ~(red_row[ru, rv]
+                                        & red_col[cols[u], cols[v]])
+    return np.concatenate([red_u, u[keep]]), np.concatenate([red_v, v[keep]])
 
 
 def _placed_stats(g2: ColoredProductGraph, placement: Placement,

@@ -350,6 +350,15 @@ class TestDamagedSidecar:
             assert path + ": " in err and "edges must hold integers" in err
 
     @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    def test_placement_beyond_int32(self, tmp_path, capsys, command):
+        # narrowed to int32 first, rows[0] + 2^32 would read as rows[0]
+        def damage(s):
+            s["placement"]["rows"][0] += 2 ** 32
+        path = self.damaged(tmp_path, damage)
+        err = self.assert_error_exit([command, path], capsys)
+        assert "cell out of range" in err
+
+    @pytest.mark.parametrize("command", ["verify", "diagnose"])
     def test_short_placement(self, tmp_path, capsys, command):
         # 23 placed vertices cannot carry the file's 24-vertex graph
         path = self.damaged(tmp_path, lambda s: (s["placement"]["rows"].pop(),

@@ -237,6 +237,19 @@ class TestProduct:
             assert fc["dual"] == 2 * er * eb
             assert fc["edges"] == er * N * N + eb * N * N - 2 * er * eb
 
+    @pytest.mark.parametrize("p", [0.0, None, 1.0], ids=["p0", "random", "p1"])
+    def test_cell_graph_matches_dense(self, p):
+        # the fiber passes against the definition, on the product's
+        # broadcast red_col / blue_row views and after deletion
+        rng = np.random.default_rng(18)
+        for N in range(2, 9):
+            q = float(rng.random()) if p is None else p
+            gr, gb = random_bases(N, q, int(rng.integers(1e6)))
+            g1 = conormal_product(gr, gb)
+            for g in (g1, apply_deletion_rule(g1, gr, gb)):
+                red, blue = g.to_dense()
+                assert np.array_equal(g.cell_graph().to_dense(), red | blue)
+
     def test_mismatched_orders(self):
         gr = BaseGraph.from_edges("red", 2, [])
         gb = BaseGraph.from_edges("blue", 3, [])
@@ -357,6 +370,16 @@ class TestInjection:
             Placement(2, np.array([0, 0]), np.array([1, 1]))
         with pytest.raises(ValueError):
             Placement(2, np.array([0, 2]), np.array([0, 0]))
+
+    def test_range_checked_before_injectivity_and_narrowing(self):
+        # (0, 3) is out of range, not a second copy of cell id 3 = (1, 0)
+        with pytest.raises(ValueError, match="cell out of range"):
+            Placement(3, [0, 1], [3, 0])
+        # 2^32 + 1 narrowed to int32 first would read as row 1
+        with pytest.raises(ValueError, match="cell out of range"):
+            Placement(3, np.array([2 ** 32 + 1, 0], dtype=np.int64), [0, 0])
+        pl = Placement(3, np.array([2, 0], dtype=np.int64), [1, 1])
+        assert pl.rows.dtype == pl.cols.dtype == np.int32
 
     def test_rejects_overfull(self):
         par = derive_params(100)  # N=5, 25 cells < 100
@@ -496,7 +519,11 @@ class TestPlacedCounts:
         rng = np.random.default_rng(42)
         cases = 0
         instances = list(random_builds(24, seed=43))
+        # empty bases, complete bases, and a single vertex (empty fibers)
         instances.append(build(explicit_params(n=9, N=3, p=0.0, k=3), 1))
+        instances.append(build(explicit_params(n=4, N=2, p=1.0, k=2), 2))
+        instances.append(build(explicit_params(n=11, N=5, p=1.0, k=3), 3))
+        instances.append(build(explicit_params(n=1, N=3, p=0.5, k=1), 4))
         for placed in instances:
             product, placement = placed.product, placed.placement
             edges = placed.graph.edge_array()
