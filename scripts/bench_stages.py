@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Wall times of one source tree, end to end and per stage, as BENCH_<label>.json.
 
-Usage: python3 scripts/bench_stages.py LABEL [--src DIR] [--sizes 2000,10000,30000]
-                                       [--repeats 3] [--out-dir .]
+Usage: python3 scripts/bench_stages.py LABEL [--src DIR]
 
-At seed 0 and feasible_params(n) for every size (the CLI's --clamp, which
+At seed 0 and feasible_params(n) for n in SIZES (the CLI's --clamp, which
 equals derive_params wherever that is buildable), the file records:
 
 - the machine: nproc, the numpy version and BLAS, the BLAS thread count;
@@ -13,9 +12,9 @@ equals derive_params wherever that is buildable), the file records:
 - per stage: the induce (construction._placed_adjacency) and the CSR
   (graphview.from_edge_arrays), in process.
 
-Each figure is the median of --repeats runs.  --src picks the tree whose
+Each figure is the median of REPEATS runs.  --src picks the tree whose
 package is timed (default: this checkout's src/), so one script compares
-two trees on one machine.
+two trees on one machine.  The file goes to the repository root.
 """
 
 import argparse
@@ -35,6 +34,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = THREADS
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = (2000, 10000, 30000)
+REPEATS = 3
 
 MACHINE = """
 import json, os, numpy as np
@@ -74,7 +75,7 @@ def timed_cli(env, argv) -> float:
     return perf_counter() - t0
 
 
-def bench_size(env, n: int, repeats: int, work: Path) -> dict:
+def bench_size(env, n: int, work: Path) -> dict:
     path = str(work / f"n{n}.edges")
     argvs = {"build": ["build", "--n", str(n), "--clamp", "--seed", "0",
                        "--out", path],
@@ -82,12 +83,12 @@ def bench_size(env, n: int, repeats: int, work: Path) -> dict:
              "alpha_greedy": ["alpha", path, "--method", "greedy"],
              "diagnose": ["diagnose", path]}
     cli = {key: round(statistics.median(timed_cli(env, argv)
-                                        for _ in range(repeats)), 4)
+                                        for _ in range(REPEATS)), 4)
            for key, argv in argvs.items()}
     sha = {Path(f).name: hashlib.sha256(Path(f).read_bytes()).hexdigest()
            for f in (path, path + ".json")}
     runs = [json.loads(python(env, "-c", STAGES, str(n)))
-            for _ in range(repeats)]
+            for _ in range(REPEATS)]
     stages = {key: round(statistics.median(r[key] for r in runs), 4)
               for key in ("placed_adjacency", "from_edge_arrays")}
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
@@ -98,19 +99,16 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
     ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--sizes", default="2000,10000,30000")
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--out-dir", default=str(ROOT))
     args = ap.parse_args()
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
-    report = {"label": args.label, "seed": 0, "repeats": args.repeats,
+    report = {"label": args.label, "seed": 0, "repeats": REPEATS,
               **json.loads(python(env, "-c", MACHINE)),
               "blas_threads": int(THREADS), "sizes": []}
     with tempfile.TemporaryDirectory() as work:
-        for n in map(int, args.sizes.split(",")):
-            report["sizes"].append(bench_size(env, n, args.repeats, Path(work)))
+        for n in SIZES:
+            report["sizes"].append(bench_size(env, n, Path(work)))
             print(json.dumps(report["sizes"][-1]), file=sys.stderr)
-    out = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)
 

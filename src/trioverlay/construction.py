@@ -153,9 +153,13 @@ class ColoredProductGraph:
 
     A pair of distinct cells (i, j), (k, l) carries a red flag iff
     red_row[i, k] and red_col[j, l], a blue flag iff blue_row[i, k] and
-    blue_col[j, l].  The row matrices have empty diagonals exactly when equal
-    first coordinates are forbidden for that color (red), and similarly for
-    the column matrices (blue), so equal cells never carry flags.
+    blue_col[j, l].
+
+    Invariant: all four matrices are symmetric, and red_row and blue_col have
+    empty diagonals, so equal cells never carry flags.  Both stages keep it:
+    red_row and blue_col are BaseGraph.adj, or BaseGraph.adj masked.  The
+    induce (_placed_adjacency) relies on it: it walks only the pairs i < k
+    of red_row and j < l of blue_col.
     """
 
     N: int
