@@ -27,7 +27,7 @@ exp = (hr.count_with(RED) + hb.count_with(BLUE)) * 6 \
     * (par.N * (par.N - 1) * (par.N - 2) // 6)
 print(f"product: {h1.edge_count()} flagged cell triples "
       f"(red {h1.count_with(RED)}, blue {h1.count_with(BLUE)}, "
-      f"dual {sum(1 for f in h1.flags.values() if f == 3)})")
+      f"dual {h1.count_with(RED) + h1.count_with(BLUE) - h1.edge_count()})")
 assert h1.count_with(RED) + h1.count_with(BLUE) == exp
 
 h2 = inject_hyper(h1, par, seed=3)

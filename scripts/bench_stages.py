@@ -10,7 +10,9 @@ equals derive_params wherever that is buildable), the file records:
 - end to end: CLI build, verify, alpha --method greedy and diagnose, each in
   a fresh interpreter, with the sha256 of the built files;
 - per stage: the induce (construction._placed_adjacency) and the CSR
-  (graphview.from_edge_arrays), in process.
+  (graphview.from_edge_arrays), in process;
+- triple systems: CLI hyper --explicit and verify on its file at each of
+  HYPER_SHAPES, with the sha256 of the written files.
 
 Each figure is the median of REPEATS runs.  --src picks the tree whose
 package is timed (default: this checkout's src/), so one script compares
@@ -35,6 +37,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2000, 10000, 30000)
+# (N, n, p, k): the explicit triple-system shapes of perfbench's desk workload
+HYPER_SHAPES = ((7, 40, 0.3, 10), (8, 50, 0.3, 12))
 REPEATS = 3
 
 MACHINE = """
@@ -75,24 +79,46 @@ def timed_cli(env, argv) -> float:
     return perf_counter() - t0
 
 
+def cli_medians(env, argvs: dict) -> dict:
+    """Median wall time of each CLI command line, in order."""
+    return {key: round(statistics.median(timed_cli(env, argv)
+                                         for _ in range(REPEATS)), 4)
+            for key, argv in argvs.items()}
+
+
+def digests(path: str) -> dict:
+    """sha256 of the written file and its sidecar."""
+    return {Path(f).name: hashlib.sha256(Path(f).read_bytes()).hexdigest()
+            for f in (path, path + ".json")}
+
+
 def bench_size(env, n: int, work: Path) -> dict:
     path = str(work / f"n{n}.edges")
-    argvs = {"build": ["build", "--n", str(n), "--clamp", "--seed", "0",
-                       "--out", path],
-             "verify": ["verify", path],
-             "alpha_greedy": ["alpha", path, "--method", "greedy"],
-             "diagnose": ["diagnose", path]}
-    cli = {key: round(statistics.median(timed_cli(env, argv)
-                                        for _ in range(REPEATS)), 4)
-           for key, argv in argvs.items()}
-    sha = {Path(f).name: hashlib.sha256(Path(f).read_bytes()).hexdigest()
-           for f in (path, path + ".json")}
+    cli = cli_medians(env, {
+        "build": ["build", "--n", str(n), "--clamp", "--seed", "0",
+                  "--out", path],
+        "verify": ["verify", path],
+        "alpha_greedy": ["alpha", path, "--method", "greedy"],
+        "diagnose": ["diagnose", path]})
+    sha = digests(path)
     runs = [json.loads(python(env, "-c", STAGES, str(n)))
             for _ in range(REPEATS)]
     stages = {key: round(statistics.median(r[key] for r in runs), 4)
               for key in ("placed_adjacency", "from_edge_arrays")}
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
             "stage_s": stages, "sha256": sha}
+
+
+def bench_hyper(env, shape: tuple, work: Path) -> dict:
+    N, n, p, k = shape
+    path = str(work / f"hyper{N}.triples")
+    cli = cli_medians(env, {
+        "hyper": ["hyper", "--explicit", "--N", str(N), "--n", str(n),
+                  "--p", str(p), "--k", str(k), "--seed", "0",
+                  "--out", path],
+        "verify": ["verify", path]})
+    return {"N": N, "n": n, "p": p, "k": k, "cli_s": cli,
+            "sha256": digests(path)}
 
 
 def main() -> None:
@@ -103,11 +129,14 @@ def main() -> None:
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     report = {"label": args.label, "seed": 0, "repeats": REPEATS,
               **json.loads(python(env, "-c", MACHINE)),
-              "blas_threads": int(THREADS), "sizes": []}
+              "blas_threads": int(THREADS), "sizes": [], "hyper": []}
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
             report["sizes"].append(bench_size(env, n, Path(work)))
             print(json.dumps(report["sizes"][-1]), file=sys.stderr)
+        for shape in HYPER_SHAPES:
+            report["hyper"].append(bench_hyper(env, shape, Path(work)))
+            print(json.dumps(report["hyper"][-1]), file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)

@@ -29,8 +29,8 @@ from .analysis import classify_sets, concentration_report, f_function, sample_k_
 from .baselines import edge_deletion_baseline, triangle_free_process
 from .construction import build, rebuild
 from .graphview import count_triangles
-from .hypergraph import hyper_product, inject_hyper, s4_reduction, \
-    sample_base_3graphs, verify_s4_free
+from .hypergraph import BLUE, RED, hyper_product, inject_hyper, \
+    s4_reduction, sample_base_3graphs, verify_s4_free
 from .independence import DEFAULT_BUDGET, independence_exact, independence_greedy
 from .params import Params, derive_params, explicit_params, feasible_params
 from .serialize import graph_record, jsonify, read_instance, triple_record, \
@@ -122,8 +122,8 @@ def cmd_hyper(args) -> int:
         "product_triples": h1.edge_count(),
         "induced_triples": h2.edge_count(),
         "reduced_triples": h3.edge_count(),
-        "reduced_red": h3.count_with(1),
-        "reduced_blue": h3.count_with(2),
+        "reduced_red": h3.count_with(RED),
+        "reduced_blue": h3.count_with(BLUE),
         "s4_free": ok,
     }
     rec = triple_record(h3, params=params, seed=args.seed, stats=stats)
@@ -171,11 +171,11 @@ def _verify_triples(rec, report: dict) -> bool:
     h = rec.system()
     ok = verify_s4_free(h)
     # the link of v has one edge for each triple through v
-    sizes = np.bincount(h.arrays()[0].ravel(), minlength=h.order).tolist()
+    sizes = np.unique(h.triples, return_counts=True)[1]
     report["links"] = {
-        "nonempty": sum(1 for s in sizes if s),
-        "max_edges": max(sizes, default=0),
-        "total_edges": sum(sizes),
+        "nonempty": len(sizes),
+        "max_edges": int(sizes.max(initial=0)),
+        "total_edges": int(sizes.sum()),
         "triple_count_times_3": 3 * h.edge_count(),
     }
     checks = {"s4_free": ok}

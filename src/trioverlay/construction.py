@@ -308,11 +308,15 @@ class Placement:
     cols: np.ndarray  # (n,) int32
 
     def __post_init__(self):
-        # check the int64 values before narrowing them: int32 would wrap
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        # check the dtype, then the int64 values before narrowing them:
+        # int64 would truncate floats, and int32 wrap large values
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise ValueError("rows/cols must be equal-length vectors")
+        if rows.size and {rows.dtype.kind, cols.dtype.kind} - set("iu"):
+            raise ValueError("placement coordinates must be integers, got "
+                             f"{rows.dtype} and {cols.dtype} values")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         if rows.size and (min(rows.min(), cols.min()) < 0
                           or max(rows.max(), cols.max()) >= self.N):
             raise ValueError("cell out of range")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphview import SimpleGraphView
+from .hypergraph import TripleSystem
 from .params import Params
 
 __all__ = ["InstanceRecord", "TripleRecord", "graph_record", "triple_record",
@@ -93,13 +94,10 @@ class TripleRecord:
     stats: dict = field(default_factory=dict)
     kind: str = "triples"
 
-    def system(self):
-        from .hypergraph import TripleSystem
-
+    def system(self) -> TripleSystem:
         flags = _FLAG_OF_COLOR[np.frombuffer(self.colors.encode(), np.uint8)]
         return TripleSystem.from_arrays(self.n, self.triples, flags,
-                                        kind=self.system_kind,
-                                        cells=self.cells)
+                                        self.system_kind, self.cells)
 
 
 def graph_record(placed) -> InstanceRecord:
@@ -119,12 +117,9 @@ def graph_record(placed) -> InstanceRecord:
 
 def triple_record(h, params: Params | None = None, seed: int = 0,
                   stats: dict | None = None) -> TripleRecord:
-    triples, flags = h.arrays()
-    order = np.lexsort(triples.T[::-1])
-    triples = triples[order]
-    colors = _COLOR_OF_FLAG[flags[order]].tobytes().decode()
+    colors = _COLOR_OF_FLAG[h.flags].tobytes().decode()
     return TripleRecord(
-        n=h.order, seed=seed, triples=triples, colors=colors, params=params,
+        n=h.order, seed=seed, triples=h.triples, colors=colors, params=params,
         system_kind=h.kind, cells=None if h.cells is None else h.cells.copy(),
         stats=dict(stats or {}),
     )
@@ -259,6 +254,9 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
             | (arr[:, 1] == arr[:, 2])
         if bad.any():
             raise ValueError(f"bad triple {tuple(arr[bad.argmax()].tolist())}")
+        rows = arr[np.lexsort(arr.T[::-1])]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
+            raise ValueError("duplicate triple in triple list")
         cells = payload.get("cells")
         colors = payload.get("colors", "")
         if not isinstance(colors, str):

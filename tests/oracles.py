@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -286,7 +287,7 @@ def alpha_bruteforce(n: int, edges) -> int:
 def star_free_bruteforce(h) -> bool:
     """Exhaustive 4-subset scan for the forbidden 3-uniform star."""
     n = h.order
-    present = h.flags
+    present = set(map(tuple, h.triples.tolist()))
     for quad in combinations(range(n), 4):
         for center in quad:
             rest = [x for x in quad if x != center]
@@ -300,7 +301,7 @@ def star_free_bruteforce(h) -> bool:
 
 def count_stars_bruteforce(h) -> int:
     n = h.order
-    present = h.flags
+    present = set(map(tuple, h.triples.tolist()))
     found = 0
     for quad in combinations(range(n), 4):
         for center in quad:
@@ -535,18 +536,132 @@ def edge_list_by_split(path: str) -> tuple[int, int, int, np.ndarray]:
 
 
 # ------------------------------------------------------ triple systems
-# The hypergraph pipeline as it was written over per-triple tuples:
-# every triple built through TripleSystem.add, the reduction ordered by
+# The hypergraph pipeline as it was written over per-triple tuples: every
+# triple added to a dict one at a time, the reduction ordered by
 # sorted(key=triple_key) and run on LinkIndex bitset dicts.  The package
 # runs the same pipeline on int64 triple arrays and must give the same
-# systems.
+# systems; triple_dict turns a package TripleSystem into such a dict.
 
 
-def sample_base_3graphs_loop(params: Params, seed: int) -> tuple[TripleSystem, TripleSystem]:
+def _norm(t) -> tuple[int, int, int]:
+    a, b, c = sorted(int(x) for x in t)
+    if a == b or b == c:
+        raise ValueError(f"triple {t} has repeated vertices")
+    return (a, b, c)
+
+
+def triple_dict(h) -> dict:
+    """The rows of a TripleSystem as {(u, v, w): flag bits}."""
+    return dict(zip(map(tuple, h.triples.tolist()), h.flags.tolist()))
+
+
+@dataclass
+class LoopTriples:
+    """The per-triple container of the loops below: sorted triple -> flag
+    bits, with the system's order, kind and cells."""
+
+    order: int
+    flags: dict = field(default_factory=dict)
+    kind: str = "base"
+    cells: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, h) -> LoopTriples:
+        """The loop container of a package TripleSystem."""
+        return cls(h.order, triple_dict(h), h.kind, h.cells)
+
+    def add(self, t, flag: int) -> None:
+        key = _norm(t)
+        self.flags[key] = self.flags.get(key, 0) | flag
+
+    def triple_key(self, t):
+        """Lexicographic inspection key: sorted cell coordinates if placed."""
+        t = _norm(t)
+        if self.cells is None:
+            return t
+        return tuple(sorted((int(self.cells[v, 0]), int(self.cells[v, 1]))
+                            for v in t))
+
+
+class LinkIndex:
+    """Incremental per-vertex link adjacency over one flag class.
+
+    rows[v][u] is the bitmask of w with {v, u, w} present.  Adding a triple
+    adds one link edge at each of its vertices; the star-creation test for a
+    candidate triple is a common-neighbor query in each of the three links.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.rows: list[dict[int, int]] = [dict() for _ in range(order)]
+
+    def _pairs(self, t):
+        x, y, z = _norm(t)
+        return ((x, y, z), (y, x, z), (z, x, y))
+
+    def creates_star(self, t) -> bool:
+        for c, u, w in self._pairs(t):
+            row = self.rows[c]
+            if row.get(u, 0) & row.get(w, 0):
+                return True
+        return False
+
+    def add(self, t) -> None:
+        for c, u, w in self._pairs(t):
+            row = self.rows[c]
+            row[u] = row.get(u, 0) | (1 << w)
+            row[w] = row.get(w, 0) | (1 << u)
+
+    def remove(self, t) -> None:
+        for c, u, w in self._pairs(t):
+            row = self.rows[c]
+            row[u] &= ~(1 << w)
+            row[w] &= ~(1 << u)
+            if row[u] == 0:
+                del row[u]
+            if row[w] == 0:
+                del row[w]
+
+    def link_edges(self, v: int) -> set[tuple[int, int]]:
+        out = set()
+        for u, mask in self.rows[v].items():
+            m = mask
+            while m:
+                bit = m & -m
+                w = bit.bit_length() - 1
+                m ^= bit
+                if u < w:
+                    out.add((u, w))
+        return out
+
+    def link_triangles(self, c: int) -> list[tuple[int, int, int]]:
+        """Triangles (u < w < z) of the link of c, sorted."""
+        row = self.rows[c]
+        out = []
+        for u in sorted(row):
+            mu = row[u]
+            m = mu >> (u + 1) << (u + 1)  # w > u
+            while m:
+                bit = m & -m
+                w = bit.bit_length() - 1
+                m ^= bit
+                common = mu & row.get(w, 0)
+                common >>= w + 1
+                common <<= w + 1
+                cm = common
+                while cm:
+                    b2 = cm & -cm
+                    z = b2.bit_length() - 1
+                    cm ^= b2
+                    out.append((u, w, z))
+        return out
+
+
+def sample_base_3graphs_loop(params: Params, seed: int) -> tuple[LoopTriples, LoopTriples]:
     """Independent binomial 3-graphs on {0..N-1}, each triple kept w.p. p."""
     from trioverlay.construction import (STREAM_HYPER_BLUE, STREAM_HYPER_RED,
                                          child_rng)
-    from trioverlay.hypergraph import BLUE, RED, TripleSystem
+    from trioverlay.hypergraph import BLUE, RED
 
     N, p = params.N, params.p
     triples = list(combinations(range(N), 3))
@@ -555,7 +670,7 @@ def sample_base_3graphs_loop(params: Params, seed: int) -> tuple[TripleSystem, T
                                (BLUE, STREAM_HYPER_BLUE, "base-blue")):
         rng = child_rng(seed, stream)
         keep = rng.random(len(triples)) < p
-        h = TripleSystem(order=N, kind=kind)
+        h = LoopTriples(order=N, kind=kind)
         for t, k in zip(triples, keep):
             if k:
                 h.add(t, flag)
@@ -563,35 +678,33 @@ def sample_base_3graphs_loop(params: Params, seed: int) -> tuple[TripleSystem, T
     return out[0], out[1]
 
 
-def hyper_product_loop(hr: TripleSystem, hb: TripleSystem) -> TripleSystem:
+def hyper_product_loop(hr: LoopTriples, hb: LoopTriples) -> LoopTriples:
     """Overlay on the N^2 cells; all six coordinates of a triple distinct."""
-    from trioverlay.hypergraph import (_MAX_PRODUCT_TRIPLES, BLUE, RED,
-                                       TripleSystem)
+    from trioverlay.hypergraph import _MAX_PRODUCT_TRIPLES, BLUE, RED
 
     if hr.order != hb.order:
         raise ValueError("base systems must share N")
     N = hr.order
     combos = list(combinations(range(N), 3))
-    expected = (hr.edge_count() + hb.edge_count()) * len(combos) * 6
+    expected = (len(hr.flags) + len(hb.flags)) * len(combos) * 6
     if expected > _MAX_PRODUCT_TRIPLES:
         raise ValueError(f"product would enumerate ~{expected} triples; too large")
     cells = np.array([(i, j) for i in range(N) for j in range(N)], dtype=np.int64)
-    h = TripleSystem(order=N * N, kind="product", cells=cells)
-    for rows in hr.edges():
+    h = LoopTriples(order=N * N, kind="product", cells=cells)
+    for rows in sorted(hr.flags):
         for cols in combos:
             for perm in permutations(cols):
                 h.add(tuple(r * N + c for r, c in zip(rows, perm)), RED)
-    for cols in hb.edges():
+    for cols in sorted(hb.flags):
         for rows in combos:
             for perm in permutations(rows):
                 h.add(tuple(r * N + c for r, c in zip(perm, cols)), BLUE)
     return h
 
 
-def inject_hyper_loop(h1: TripleSystem, params: Params, seed: int) -> TripleSystem:
+def inject_hyper_loop(h1: LoopTriples, params: Params, seed: int) -> LoopTriples:
     """Uniform injection of {0..n-1} into cells; keep fully placed triples."""
     from trioverlay.construction import STREAM_HYPER_PHI, child_rng
-    from trioverlay.hypergraph import TripleSystem
 
     params.require_injectable()
     if h1.order != params.N * params.N:
@@ -600,21 +713,20 @@ def inject_hyper_loop(h1: TripleSystem, params: Params, seed: int) -> TripleSyst
     cell_ids = rng.choice(h1.order, size=params.n, replace=False)
     vertex_of = {int(c): v for v, c in enumerate(cell_ids)}
     cells = np.column_stack([cell_ids // params.N, cell_ids % params.N]).astype(np.int64)
-    h2 = TripleSystem(order=params.n, kind="induced", cells=cells)
+    h2 = LoopTriples(order=params.n, kind="induced", cells=cells)
     for t, f in h1.flags.items():
         if all(c in vertex_of for c in t):
             h2.add(tuple(vertex_of[c] for c in t), f)
     return h2
 
 
-def s4_reduction_loop(h2: TripleSystem) -> TripleSystem:
+def s4_reduction_loop(h2: LoopTriples) -> LoopTriples:
     """Four-pass flag removal; the result carries no star on any center."""
-    from trioverlay.hypergraph import BLUE, RED, LinkIndex, TripleSystem, _norm
+    from trioverlay.hypergraph import BLUE, RED
 
     order = h2.order
     key = h2.triple_key
-    result = TripleSystem(order=order, kind="reduced", cells=h2.cells)
-
+    result = LoopTriples(order=order, kind="reduced", cells=h2.cells)
     # pass (a): red flags greedily, no all-red star
     red_index = LinkIndex(order)
     for t in sorted((t for t, f in h2.flags.items() if f & RED), key=key):

@@ -32,8 +32,8 @@ from trioverlay.baselines import edge_deletion_baseline, triangle_free_process
 from trioverlay.construction import (BaseGraph, apply_deletion_rule, build,
                                      conormal_product)
 from trioverlay.graphview import SimpleGraphView, count_triangles
-from trioverlay.hypergraph import (LinkIndex, TripleSystem, extract_link,
-                                   hyper_product, inject_hyper, s4_reduction,
+from trioverlay.hypergraph import (TripleSystem, extract_link, hyper_product,
+                                   inject_hyper, s4_reduction,
                                    sample_base_3graphs, verify_s4_free)
 from trioverlay.independence import (independence_exact, independence_greedy,
                                      is_independent_set)
@@ -42,7 +42,7 @@ from trioverlay.serialize import (graph_record, instances_equal,
                                   read_instance, triple_record,
                                   write_instance)
 
-from oracles import (alpha_bruteforce, closed_pairs_bruteforce,
+from oracles import (LinkIndex, alpha_bruteforce, closed_pairs_bruteforce,
                      deletion_bruteforce, f_reference, flags_of_product,
                      star_free_bruteforce, triangles_bruteforce,
                      triangles_dense)
@@ -213,17 +213,18 @@ def test_criterion_03_oracle_equivalence():
         lidx = LinkIndex(10)
         for t in picks:
             lidx.add(t)
-        h = TripleSystem(order=10)
-        for t in picks:
-            h.add(t, 1)
-        if any(lidx.link_edges(v) != set(extract_link(h, v).flags)
-               for v in range(10)):
+
+        def links_differ(live):
+            h = TripleSystem.from_arrays(10, live, np.ones(len(live)))
+            return any(lidx.link_edges(v)
+                       != set(map(tuple, extract_link(h, v).pairs.tolist()))
+                       for v in range(10))
+
+        if links_differ(picks):
             mism_link.append(("add", idx))
         for t in picks[:12]:
             lidx.remove(t)
-            del h.flags[t]
-        if any(lidx.link_edges(v) != set(extract_link(h, v).flags)
-               for v in range(10)):
+        if links_differ(picks[12:]):
             mism_link.append(("remove", idx))
 
     ok = not (mism_del or mism_cls or mism_link)

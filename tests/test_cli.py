@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import trioverlay
@@ -190,6 +191,53 @@ class TestHyper:
         code, report = self.verify_json(path, capsys)
         assert code == 0
         assert report["checks"] == {"s4_free": True}
+
+    @pytest.mark.parametrize("c", [11, 2_999_991], ids=["low", "top"])
+    def test_star_found_at_any_vertex(self, tmp_path, capsys, c):
+        # three triples through c on {c, .., c + 3}, 1-based, at n = 3*10^6:
+        # int64 keys of the vertex ids overflow there and hid the top star
+        path = str(tmp_path / "star.triples")
+        with open(path, "w") as fh:
+            fh.write(f"3000000 3 0\n{c} {c + 1} {c + 2}\n"
+                     f"{c} {c + 1} {c + 3}\n{c} {c + 2} {c + 3}\n")
+        code, report = self.verify_json(path, capsys)
+        assert code == 1
+        assert report["checks"] == {"s4_free": False}
+        assert report["links"]["nonempty"] == 4
+
+    def test_too_many_vertices_to_key(self, tmp_path, capsys):
+        # 2^21 + 1 distinct vertices: not even their ranks key a triple in
+        # int64
+        k = 699_051
+        rows = np.arange(3 * k, dtype=np.int64).reshape(k, 3) * 2 ** 18 + 1
+        path = str(tmp_path / "wide.triples")
+        with open(path, "w") as fh:
+            fh.write(f"{2 ** 40} {k} 0\n"
+                     + "%d %d %d\n" * k % tuple(rows.ravel().tolist()))
+        capsys.readouterr()
+        assert run(["verify", path]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: 2097153 distinct vertices: too many to key "
+                       "triples in int64\n")
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "json"])
+    def test_repeated_triple(self, tmp_path, capsys, fmt):
+        # two distinct triples on three lines, as a graph file with a
+        # repeated edge is
+        lines = [[1, 2, 3], [1, 2, 3], [2, 3, 4]]
+        path = str(tmp_path / "t.triples")
+        with open(path, "w") as fh:
+            if fmt == "json":
+                fh.write(json.dumps({"format": "json", "kind": "triples",
+                                     "n": 5, "m": 3, "seed": 0,
+                                     "colors": "DDD", "triples": lines}))
+            else:
+                fh.write("5 3 0\n" + "".join("%d %d %d\n" % tuple(t)
+                                             for t in lines))
+        capsys.readouterr()
+        assert run(["verify", path]) == 1
+        assert capsys.readouterr().err == \
+            "error: duplicate triple in triple list\n"
 
 
 class TestVerify:

@@ -381,6 +381,17 @@ class TestInjection:
         pl = Placement(3, np.array([2, 0], dtype=np.int64), [1, 1])
         assert pl.rows.dtype == pl.cols.dtype == np.int32
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([0.7, 2.9], [1, 0]), ([0, 2], [1.2, 0]), ([0, 2], [True, False]),
+    ], ids=["float-rows", "float-cols", "bool-cols"])
+    def test_rejects_non_integer_coordinates(self, rows, cols):
+        # int64 conversion would read [0.7, 2.9] as the rows [0, 2]
+        with pytest.raises(ValueError, match="must be integers"):
+            Placement(3, rows, cols)
+        assert Placement(3, [], np.array([], dtype=float)).n == 0
+        pl = Placement(3, np.array([0, 2], dtype=np.uint8), [1, 0])
+        assert pl.rows.tolist() == [0, 2] and pl.cols.tolist() == [1, 0]
+
     def test_rejects_overfull(self):
         par = derive_params(100)  # N=5, 25 cells < 100
         with pytest.raises(ValueError):

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from trioverlay import hypergraph
-from trioverlay.hypergraph import (BLUE, RED, LinkIndex, TripleSystem,
-                                   extract_link, hyper_product, inject_hyper,
-                                   s4_reduction, sample_base_3graphs,
-                                   verify_s4_free)
+from trioverlay.hypergraph import (BLUE, RED, TripleSystem, extract_link,
+                                   hyper_product, inject_hyper, s4_reduction,
+                                   sample_base_3graphs, verify_s4_free)
 from trioverlay.params import Params, explicit_params
 
-from oracles import (count_stars_bruteforce, hyper_product_loop,
-                     inject_hyper_loop, s4_reduction_loop,
-                     sample_base_3graphs_loop, star_free_bruteforce)
+from oracles import (LinkIndex, LoopTriples, count_stars_bruteforce,
+                     hyper_product_loop, inject_hyper_loop, s4_reduction_loop,
+                     sample_base_3graphs_loop, star_free_bruteforce,
+                     triple_dict)
 
 
 def _pipeline(N, p, seed):
@@ -30,54 +30,53 @@ def _pipeline(N, p, seed):
     return par, hr, hb, h1, h2
 
 
+def _system(order, items, **kw):
+    """The TripleSystem of the (triple, flag) items."""
+    triples = [t for t, _ in items]
+    return TripleSystem.from_arrays(order, np.array(triples).reshape(-1, 3),
+                                    [f for _, f in items], **kw)
+
+
 # ---------------------------------------------------------------------------
 # the container
 
 
 class TestTripleSystem:
-    def test_add_and_query(self):
-        h = TripleSystem(order=6)
-        h.add((3, 0, 5), RED)
-        h.add((0, 3, 5), BLUE)  # same triple, any vertex order
-        assert h.flags_of((5, 3, 0)) == (RED | BLUE)
-        assert h.has_triple((0, 3, 5))
-        assert not h.has_triple((0, 1, 2))
-        assert h.edge_count() == 1
-        h.add((1, 2, 4), RED)
-        assert h.edges() == [(0, 3, 5), (1, 2, 4)]
+    def test_canonical_form(self):
+        # the same triple in two vertex orders ORs its flags; rows come out
+        # sorted within and among themselves
+        h = _system(6, [((1, 4, 2), RED), ((3, 0, 5), RED), ((0, 5, 3), BLUE)])
+        assert h.triples.tolist() == [[0, 3, 5], [1, 2, 4]]
+        assert h.flags.tolist() == [RED | BLUE, RED]
+        assert h.edge_count() == 2
         assert h.count_with(RED) == 2
         assert h.count_with(BLUE) == 1
 
     def test_rejects_bad_triples(self):
-        h = TripleSystem(order=4)
-        with pytest.raises(ValueError):
-            h.add((0, 0, 1), RED)
-        with pytest.raises(ValueError):
-            h.add((0, 1, 4), RED)
-        with pytest.raises(ValueError):
-            h.add((-1, 0, 1), RED)
-        with pytest.raises(ValueError):
-            h.add((0, 1, 2), 0)
-        with pytest.raises(ValueError):
-            h.add((0, 1, 2), 4)
+        # 699,051 triples on 2^21 + 1 distinct vertices below 2^40: neither
+        # the vertex ids nor their ranks key a triple within int64
+        values = np.arange(3 * 699_051, dtype=np.int64) * 2 ** 18
+        assert len(values) ** 3 > 2 ** 63
+        with pytest.raises(ValueError, match="too many to key"):
+            TripleSystem.from_arrays(2 ** 40, values.reshape(-1, 3),
+                                     np.ones(len(values) // 3))
 
     def test_from_arrays_matches_add(self):
+        # one OR into a dict per triple, as the loops do
         rng = np.random.default_rng(3)
         rows = rng.integers(0, 7, size=(60, 3))
         rows = rows[(rows[:, 0] != rows[:, 1]) & (rows[:, 1] != rows[:, 2])
                     & (rows[:, 0] != rows[:, 2])]  # unsorted, some repeated
         flags = rng.integers(1, 4, size=len(rows))
-        h = TripleSystem(order=7, kind="x")
+        h = LoopTriples(order=7)
         for t, f in zip(rows.tolist(), flags.tolist()):
             h.add(t, f)
         bulk = TripleSystem.from_arrays(7, rows, flags, kind="x")
-        assert bulk.flags == h.flags and bulk.kind == "x"
-        assert all(type(f) is int for f in bulk.flags.values())
-        t, f = bulk.arrays()
-        assert t.dtype == np.int64 and f.dtype == np.uint8
-        assert dict(zip(map(tuple, t.tolist()), f.tolist())) == h.flags
+        assert triple_dict(bulk) == h.flags and bulk.kind == "x"
+        assert bulk.triples.dtype == np.int64 and bulk.flags.dtype == np.uint8
+        assert bulk.triples.tolist() == [list(t) for t in sorted(h.flags)]
         empty = TripleSystem.from_arrays(4, np.zeros((0, 3)), [])
-        assert empty.flags == {} and empty.arrays()[0].shape == (0, 3)
+        assert empty.triples.shape == (0, 3) and empty.flags.shape == (0,)
 
     @pytest.mark.parametrize("rows, flags", [
         ([(0, 0, 1)], [RED]), ([(0, 1, 4)], [RED]), ([(-1, 0, 1)], [RED]),
@@ -88,13 +87,17 @@ class TestTripleSystem:
         with pytest.raises(ValueError):
             TripleSystem.from_arrays(4, rows, flags)
 
-    def test_triple_key_uses_cells_when_placed(self):
-        h = TripleSystem(order=3)
-        h.add((0, 1, 2), RED)
-        assert h.triple_key((2, 1, 0)) == (0, 1, 2)
-        placed = TripleSystem(order=3, cells=np.array([[2, 0], [0, 1], [1, 1]]))
-        # keys sort by cell coordinates, not vertex ids
-        assert placed.triple_key((0, 1, 2)) == ((0, 1), (1, 1), (2, 0))
+    def test_keys_on_ranks_beyond_int64(self):
+        # order^3 overflows int64 for order > 2,097,151; the triples are
+        # keyed on the ranks of their vertices, in the same order
+        big = 3_000_000
+        h = _system(big, [((big - 1, big - 4, big - 3), RED),
+                          ((big - 4, big - 2, big - 1), BLUE),
+                          ((big - 4, big - 3, big - 2), RED),
+                          ((big - 1, big - 3, big - 4), BLUE)])
+        assert (h.triples - big).tolist() == [[-4, -3, -2], [-4, -3, -1],
+                                              [-4, -2, -1]]
+        assert h.flags.tolist() == [RED, RED | BLUE, BLUE]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +109,7 @@ class TestBaseSampling:
         par = explicit_params(n=25, N=5, p=1.0, k=3)
         hr, hb = sample_base_3graphs(par, seed=0)
         assert hr.edge_count() == hb.edge_count() == math.comb(5, 3)
-        assert all(f == RED for f in hr.flags.values())
-        assert all(f == BLUE for f in hb.flags.values())
+        assert (hr.flags == RED).all() and (hb.flags == BLUE).all()
         par0 = explicit_params(n=25, N=5, p=0.0, k=3)
         hr0, hb0 = sample_base_3graphs(par0, seed=0)
         assert hr0.edge_count() == 0 and hb0.edge_count() == 0
@@ -116,10 +118,12 @@ class TestBaseSampling:
         par = explicit_params(n=64, N=8, p=0.5, k=3)
         hr1, hb1 = sample_base_3graphs(par, seed=9)
         hr2, hb2 = sample_base_3graphs(par, seed=9)
-        assert hr1.flags == hr2.flags and hb1.flags == hb2.flags
-        assert hr1.flags.keys() != hb1.flags.keys()  # different streams
+        assert triple_dict(hr1) == triple_dict(hr2)
+        assert triple_dict(hb1) == triple_dict(hb2)
+        # different streams
+        assert not np.array_equal(hr1.triples, hb1.triples)
         hr3, _ = sample_base_3graphs(par, seed=10)
-        assert hr1.flags.keys() != hr3.flags.keys()
+        assert not np.array_equal(hr1.triples, hr3.triples)
 
     def test_binomial_mean(self):
         par = explicit_params(n=100, N=10, p=0.3, k=3)
@@ -134,13 +138,12 @@ class TestBaseSampling:
 class TestHyperProduct:
     def test_single_red_base_triple(self):
         # one red base triple on N = 3 spreads to the 6 row-col bijections
-        hr = TripleSystem(order=3, kind="base-red")
-        hr.add((0, 1, 2), RED)
-        hb = TripleSystem(order=3, kind="base-blue")
+        hr = _system(3, [((0, 1, 2), RED)], kind="base-red")
+        hb = _system(3, [], kind="base-blue")
         h1 = hyper_product(hr, hb)
         assert h1.edge_count() == 6
         assert h1.count_with(RED) == 6 and h1.count_with(BLUE) == 0
-        for t in h1.edges():
+        for t in h1.triples.tolist():
             rows = sorted(c // 3 for c in t)
             cols = sorted(c % 3 for c in t)
             assert rows == [0, 1, 2] and cols == [0, 1, 2]
@@ -148,7 +151,7 @@ class TestHyperProduct:
         from itertools import permutations
         want = {tuple(sorted(r * 3 + c for r, c in zip((0, 1, 2), pm)))
                 for pm in permutations((0, 1, 2))}
-        assert set(h1.edges()) == want
+        assert set(triple_dict(h1)) == want
 
     def test_count_formulas(self):
         # each (base triple, coordinate combo, bijection) is a distinct triple
@@ -160,14 +163,14 @@ class TestHyperProduct:
             cN3 = math.comb(N, 3)
             assert h1.count_with(RED) == r * cN3 * 6
             assert h1.count_with(BLUE) == b * cN3 * 6
-            dual = sum(1 for f in h1.flags.values() if f == (RED | BLUE))
+            dual = int(np.count_nonzero(h1.flags == RED | BLUE))
             assert dual == r * b * 6
             assert h1.edge_count() == (r + b) * cN3 * 6 - dual
 
     def test_coordinates_distinct(self):
         par, _, _, h1, _ = _pipeline(N=5, p=0.5, seed=2)
         N = par.N
-        for t in h1.edges():
+        for t in h1.triples.tolist():
             assert len({c // N for c in t}) == 3
             assert len({c % N for c in t}) == 3
 
@@ -177,14 +180,11 @@ class TestHyperProduct:
             assert tuple(h1.cells[v]) == (v // 4, v % 4)
 
     def test_guards(self):
-        hr = TripleSystem(order=4)
-        hb = TripleSystem(order=5)
         with pytest.raises(ValueError):
-            hyper_product(hr, hb)
-        big_r = TripleSystem(order=100)
-        big_b = TripleSystem(order=100)
-        for t in list(combinations(range(100), 3))[:6]:
-            big_r.add(t, RED)
+            hyper_product(_system(4, []), _system(5, []))
+        big_r = _system(100, [(t, RED) for t in
+                              list(combinations(range(100), 3))[:6]])
+        big_b = _system(100, [])
         with pytest.raises(ValueError, match="too large"):
             hyper_product(big_r, big_b)
 
@@ -195,20 +195,21 @@ class TestInjectHyper:
         assert h2.order == 16
         assert h2.edge_count() == h1.edge_count()
         N = par.N
-        for t, f in h2.flags.items():
+        cell_flags = triple_dict(h1)
+        for t, f in triple_dict(h2).items():
             cell_t = tuple(sorted(int(h2.cells[v, 0]) * N + int(h2.cells[v, 1])
                                   for v in t))
-            assert h1.flags[cell_t] == f
+            assert cell_flags[cell_t] == f
 
     def test_deterministic(self):
         par, _, _, h1, _ = _pipeline(N=5, p=0.4, seed=3)
         a = inject_hyper(h1, par, seed=3)
         b = inject_hyper(h1, par, seed=3)
-        assert a.flags == b.flags and (a.cells == b.cells).all()
+        assert triple_dict(a) == triple_dict(b) and (a.cells == b.cells).all()
 
     def test_guards(self):
         par, _, _, h1, _ = _pipeline(N=5, p=0.4, seed=0)
-        small = TripleSystem(order=9)
+        small = _system(9, [])
         with pytest.raises(ValueError):
             inject_hyper(small, par, seed=0)
         bad = dict(par.to_dict())
@@ -223,10 +224,11 @@ class TestInjectHyper:
 
 
 def _system_from(triples, order, flag=RED):
-    h = TripleSystem(order=order)
-    for t in triples:
-        h.add(t, flag)
-    return h
+    return _system(order, [(t, flag) for t in triples])
+
+
+def _link_pairs(h, v):
+    return set(map(tuple, extract_link(h, v).pairs.tolist()))
 
 
 class TestLinkIndex:
@@ -242,13 +244,13 @@ class TestLinkIndex:
             live.append(t)
         h = _system_from(live, n)
         for v in range(n):
-            assert idx.link_edges(v) == set(extract_link(h, v).flags)
+            assert idx.link_edges(v) == _link_pairs(h, v)
         # now remove every other triple and re-compare
         for t in live[::2]:
             idx.remove(t)
         h2 = _system_from(live[1::2], n)
         for v in range(n):
-            assert idx.link_edges(v) == set(extract_link(h2, v).flags)
+            assert idx.link_edges(v) == _link_pairs(h2, v)
 
     def test_creates_star_is_exact(self):
         # greedy acceptance with the index never admits a star, and every
@@ -290,43 +292,26 @@ class TestLinkIndex:
 
 class TestS4Reduction:
     def test_pass_c_two_blue_drop_red(self):
-        h = TripleSystem(order=4)
-        h.add((0, 1, 2), BLUE)
-        h.add((0, 1, 3), BLUE)
-        h.add((0, 2, 3), RED)
+        h = _system(4, STAR_SHAPES["pass-c"])
         out = s4_reduction(h)
-        assert out.flags == {(0, 1, 2): BLUE, (0, 1, 3): BLUE}
+        assert triple_dict(out) == {(0, 1, 2): BLUE, (0, 1, 3): BLUE}
         assert verify_s4_free(out) and star_free_bruteforce(out)
 
     def test_pass_d_two_red_drop_blue(self):
-        h = TripleSystem(order=4)
-        h.add((0, 1, 2), RED)
-        h.add((0, 1, 3), RED)
-        h.add((0, 2, 3), BLUE)
-        out = s4_reduction(h)
-        assert out.flags == {(0, 1, 2): RED, (0, 1, 3): RED}
+        out = s4_reduction(_system(4, STAR_SHAPES["pass-d"]))
+        assert triple_dict(out) == {(0, 1, 2): RED, (0, 1, 3): RED}
 
     def test_dual_third_edge(self):
         # the blue pass already refuses the third blue flag, then pass (c)
         # strips the red flag, so the star edge disappears entirely
-        h = TripleSystem(order=4)
-        h.add((0, 1, 2), BLUE)
-        h.add((0, 1, 3), BLUE)
-        h.add((0, 2, 3), RED | BLUE)
-        out = s4_reduction(h)
-        assert out.flags == {(0, 1, 2): BLUE, (0, 1, 3): BLUE}
+        out = s4_reduction(_system(4, STAR_SHAPES["dual-third"]))
+        assert triple_dict(out) == {(0, 1, 2): BLUE, (0, 1, 3): BLUE}
 
     def test_chained_stars_skip_dead_copies(self):
         # two star copies at center 0 share the red edge; removing it once
         # destroys both, and the second copy must be skipped, not KeyError
-        h = TripleSystem(order=5)
-        h.add((0, 1, 2), BLUE)
-        h.add((0, 1, 3), BLUE)
-        h.add((0, 2, 3), RED)
-        h.add((0, 2, 4), BLUE)
-        h.add((0, 3, 4), BLUE)
-        out = s4_reduction(h)
-        assert (0, 2, 3) not in out.flags
+        out = s4_reduction(_system(5, STAR_SHAPES["chained"]))
+        assert (0, 2, 3) not in triple_dict(out)
         assert out.edge_count() == 4
         assert star_free_bruteforce(out)
 
@@ -334,8 +319,9 @@ class TestS4Reduction:
         for N, p, seed in [(4, 0.5, 0), (5, 0.3, 1), (5, 1.0, 2)]:
             _, _, _, _, h2 = _pipeline(N=N, p=p, seed=seed)
             out = s4_reduction(h2)
-            for t, f in out.flags.items():
-                assert f & ~h2.flags_of(t) == 0  # never invents flags
+            before = triple_dict(h2)
+            for t, f in triple_dict(out).items():
+                assert f & ~before[t] == 0  # never invents flags
             assert out.edge_count() <= h2.edge_count()
             assert out.kind == "reduced"
             assert out.cells is h2.cells
@@ -354,10 +340,10 @@ class TestS4Reduction:
         _, _, _, _, h2 = _pipeline(N=5, p=0.6, seed=4)
         once = s4_reduction(h2)
         twice = s4_reduction(once)
-        assert once.flags == twice.flags
+        assert triple_dict(once) == triple_dict(twice)
 
     def test_empty(self):
-        out = s4_reduction(TripleSystem(order=7))
+        out = s4_reduction(_system(7, []))
         assert out.edge_count() == 0
         assert verify_s4_free(out)
 
@@ -369,6 +355,20 @@ class TestS4Reduction:
                         for v in range(h.order))
             assert total == 3 * h.edge_count()
 
+    def test_scan_uses_cells_when_placed(self):
+        # pass (a) keeps the first two triples of an all-red star in scan
+        # order: by vertex ids unplaced, by sorted cells once placed
+        star = [((0, 1, 2), RED), ((0, 1, 3), RED), ((0, 2, 3), RED)]
+        assert triple_dict(s4_reduction(_system(4, star))) == {
+            (0, 1, 2): RED, (0, 1, 3): RED}
+        # cells rank v0 < v2 < v3 < v1, so (0, 2, 3) scans first and (0, 1, 3)
+        # closes the star
+        cells = np.array([[0, 0], [2, 0], [0, 1], [1, 1]])
+        placed = s4_reduction(_system(4, star, cells=cells))
+        assert triple_dict(placed) == {(0, 1, 2): RED, (0, 2, 3): RED}
+        assert triple_dict(placed) == s4_reduction_loop(
+            LoopTriples.of(_system(4, star, cells=cells))).flags
+
 
 # ---------------------------------------------------------------------------
 # links and the verifier
@@ -376,13 +376,15 @@ class TestS4Reduction:
 
 class TestLinks:
     def test_extract_link_flags(self):
-        h = TripleSystem(order=6)
-        h.add((0, 1, 2), RED)
-        h.add((0, 1, 3), BLUE)
-        h.add((0, 2, 3), RED | BLUE)
-        h.add((1, 2, 3), RED)  # not through 0
+        h = _system(6, [((0, 1, 2), RED), ((3, 0, 1), BLUE),
+                        ((0, 2, 3), RED | BLUE),
+                        ((1, 2, 3), RED)])  # not through 0
         link = extract_link(h, 0)
-        assert link.flags == {(1, 2): RED, (1, 3): BLUE, (2, 3): RED | BLUE}
+        assert dict(zip(map(tuple, link.pairs.tolist()), link.flags.tolist())) \
+            == {(1, 2): RED, (1, 3): BLUE, (2, 3): RED | BLUE}
+        assert link.edge_count() == 3
+        # the middle and last vertex of a triple as center
+        assert extract_link(h, 2).pairs.tolist() == [[0, 1], [0, 3], [1, 3]]
         assert link.center == 0
         gv = link.graph_view()
         assert gv.m == 3
@@ -390,18 +392,25 @@ class TestLinks:
             extract_link(h, 6)
 
     def test_verify_s4_free(self):
-        star = TripleSystem(order=5)
-        star.add((0, 1, 2), RED)
-        star.add((0, 1, 3), BLUE)
-        star.add((0, 2, 3), RED)
+        star = _system(5, [((0, 1, 2), RED), ((0, 1, 3), BLUE),
+                           ((0, 2, 3), RED)])
         assert not verify_s4_free(star)
         assert not star_free_bruteforce(star)
-        ok = TripleSystem(order=5)
-        ok.add((0, 1, 2), RED)
-        ok.add((0, 1, 3), BLUE)
-        ok.add((1, 2, 4), RED)
+        ok = _system(5, [((0, 1, 2), RED), ((0, 1, 3), BLUE), ((1, 2, 4), RED)])
         assert verify_s4_free(ok)
         assert star_free_bruteforce(ok)
+
+    @pytest.mark.parametrize("order", [5, 3_000_000])
+    def test_verify_s4_free_keys_on_ranks(self, order):
+        # a star on the top four vertices; beyond order 2,097,151 the int64
+        # keys of the vertex ids would overflow and hide it
+        c, u, w, z = range(order - 4, order)
+        star = _system(order, [((c, u, w), RED), ((c, u, z), RED),
+                               ((c, w, z), BLUE)])
+        assert not verify_s4_free(star)
+        out = s4_reduction(star)
+        assert triple_dict(out) == {(c, u, w): RED, (c, u, z): RED}
+        assert verify_s4_free(out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,32 +424,37 @@ PIPELINE_CASES = ([(7, 40, 0.3, s) for s in range(30)]
 
 
 def _same_system(got, want):
-    assert got.flags == want.flags
+    """got, a TripleSystem, holds the triples of the loop container want,
+    in canonical form, with its flags, kind, order and cells."""
+    rows = sorted(want.flags)
+    assert got.triples.dtype == np.int64 and got.flags.dtype == np.uint8
+    assert got.triples.tolist() == [list(t) for t in rows]
+    assert got.flags.tolist() == [want.flags[t] for t in rows]
     assert got.kind == want.kind and got.order == want.order
     assert (got.cells is None) == (want.cells is None)
     if want.cells is not None:
         assert got.cells.dtype == want.cells.dtype
         assert np.array_equal(got.cells, want.cells)
-    assert got.edge_count() == want.edge_count()
     for flag in (RED, BLUE, RED | BLUE):
-        assert got.count_with(flag) == want.count_with(flag)
+        assert got.count_with(flag) == sum(1 for f in want.flags.values()
+                                           if f & flag)
 
 
 def _shuffled(h, rng, cells="keep"):
-    """h with its triples inserted in random order; cells replaced by a
-    random placement on distinct cells, dropped (None) or kept."""
-    items = list(h.flags.items())
-    out = TripleSystem(order=h.order, kind=h.kind, cells=h.cells)
+    """h built again from its rows in random order, every other row with
+    its vertices reversed; cells replaced by a random placement on
+    distinct cells, dropped (None) or kept."""
     if cells == "random":
         grid = max(2, h.order)
         ids = rng.choice(grid * grid, size=h.order, replace=False)
-        out.cells = np.column_stack([ids // grid, ids % grid])
-    elif cells is None:
-        out.cells = None
-    for i in rng.permutation(len(items)):
-        t, f = items[i]
-        out.add(t[::-1] if i % 2 else t, f)
-    return out
+        cells = np.column_stack([ids // grid, ids % grid])
+    elif cells == "keep":
+        cells = h.cells
+    perm = rng.permutation(h.edge_count())
+    rows = h.triples[perm]
+    rows[1::2] = rows[1::2, ::-1]
+    return TripleSystem.from_arrays(h.order, rows, h.flags[perm], kind=h.kind,
+                                    cells=cells)
 
 
 STAR_SHAPES = {  # the pass (c) and (d) shapes of TestS4Reduction
@@ -477,31 +491,29 @@ class TestMatchesLoops:
             n = int(rng.integers(4, 11))
             pool = list(combinations(range(n), 3))
             density = rng.uniform(0.2, 0.9)
-            h = TripleSystem(order=n)
-            for t in pool:
-                if rng.random() < density:
-                    h.add(t, int(rng.integers(1, 4)))
+            h = _system(n, [(t, int(rng.integers(1, 4))) for t in pool
+                            if rng.random() < density])
             for _ in range(2):
                 hs = _shuffled(h, rng, cells)
-                _same_system(s4_reduction(hs), s4_reduction_loop(hs))
+                _same_system(s4_reduction(hs),
+                             s4_reduction_loop(LoopTriples.of(hs)))
 
     @pytest.mark.parametrize("shape", sorted(STAR_SHAPES))
     @pytest.mark.parametrize("cells", ["keep", "random", None])
     def test_star_shapes(self, shape, cells):
         rng = np.random.default_rng(len(shape))
-        h = TripleSystem(order=5)
-        for t, f in STAR_SHAPES[shape]:
-            h.add(t, f)
+        h = _system(5, STAR_SHAPES[shape])
         for _ in range(6):
             hs = _shuffled(h, rng, cells)
-            _same_system(s4_reduction(hs), s4_reduction_loop(hs))
+            _same_system(s4_reduction(hs),
+                         s4_reduction_loop(LoopTriples.of(hs)))
 
     @pytest.mark.parametrize("block", [1, 2, 7, 64])
     def test_star_copy_blocks(self, monkeypatch, block):
         # the copies come in blocks of at most _PAIR_BLOCK link-edge pairs;
         # any block size gives the same copies, reduction and verdict
         _, _, _, _, h2 = _pipeline(N=5, p=0.6, seed=1)
-        triples = h2.arrays()[0]
+        triples = h2.triples
         whole = np.concatenate(
             list(hypergraph._star_copies(triples, h2.order)), axis=1)
         assert whole.shape[1] == count_stars_bruteforce(h2) > 0
@@ -511,7 +523,7 @@ class TestMatchesLoops:
         assert np.array_equal(np.concatenate(blocks, axis=1), whole)
         assert not verify_s4_free(h2)
         out = s4_reduction(h2)
-        assert out.flags == s4_reduction_loop(h2).flags
+        assert triple_dict(out) == s4_reduction_loop(LoopTriples.of(h2)).flags
         assert verify_s4_free(out)
 
     def test_cell_ties_break_by_vertex_triple(self):
@@ -519,12 +531,9 @@ class TestMatchesLoops:
         # whatever order the triples were inserted in
         rng = np.random.default_rng(2)
         _, _, _, _, h2 = _pipeline(N=4, p=0.6, seed=5)
-        by_vertex = TripleSystem(order=h2.order)
-        for t in sorted(h2.flags):
-            by_vertex.add(t, h2.flags[t])
-        want = s4_reduction_loop(by_vertex).flags
+        want = s4_reduction_loop(LoopTriples(h2.order, triple_dict(h2))).flags
         for _ in range(3):
             hs = _shuffled(h2, rng)
             hs.cells = np.zeros((h2.order, 2), dtype=np.int64)
-            assert s4_reduction(hs).flags == want
+            assert triple_dict(s4_reduction(hs)) == want
 

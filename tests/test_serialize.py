@@ -8,8 +8,7 @@ import pytest
 from oracles import edge_list_by_split
 
 from trioverlay.construction import build
-from trioverlay.hypergraph import BLUE, RED
-from trioverlay.hypergraph import TripleSystem
+from trioverlay.hypergraph import BLUE, RED, TripleSystem
 from trioverlay.params import explicit_params
 from trioverlay.serialize import (InstanceRecord, TripleRecord, _line_widths,
                                   graph_record, instances_equal,
@@ -139,18 +138,18 @@ class TestTripleRoundTrip:
             write_instance(rec, path, fmt=fmt)
             back = read_instance(path)
             assert instances_equal(rec, back)
-            assert back.system().flags == h.flags
+            got = back.system()
+            assert np.array_equal(got.triples, h.triples)
+            assert np.array_equal(got.flags, h.flags)
 
     def test_colors_align(self):
-        h = TripleSystem(order=5)
-        h.add((0, 1, 2), RED)
-        h.add((0, 1, 3), BLUE)
-        h.add((1, 2, 4), RED | BLUE)
+        h = TripleSystem.from_arrays(5, [(4, 2, 1), (0, 1, 2), (3, 1, 0)],
+                                     [RED | BLUE, RED, BLUE])
         rec = triple_record(h)
         assert np.array_equal(rec.triples, [(0, 1, 2), (0, 1, 3), (1, 2, 4)])
         assert rec.triples.dtype == np.int64
         assert rec.colors == "RBD"
-        assert rec.system().flags == h.flags
+        assert np.array_equal(rec.system().flags, h.flags)
 
     def test_sidecar_less_fallback(self, tmp_path):
         par, h = _reduced_system(seed=2)
@@ -250,6 +249,22 @@ class TestErrors:
         with pytest.raises(ValueError, match="color"):
             read_instance(path)
 
+    @pytest.mark.parametrize("lines", [
+        [[1, 2, 3], [1, 2, 3], [2, 3, 4]], [[1, 2, 3], [2, 3, 4], [3, 1, 2]]],
+        ids=["adjacent", "reordered"])
+    def test_repeated_triple(self, tmp_path, lines):
+        # a file of two distinct triples must not read as a system of two
+        # triples out of three lines
+        text = "5 3 0\n" + "".join(f"{u} {v} {w}\n" for u, v, w in lines)
+        embedded = json.dumps({"format": "json", "kind": "triples", "n": 5,
+                               "m": 3, "seed": 0, "colors": "RBD",
+                               "triples": lines})
+        for source in (self._write(tmp_path, text, "t.triples"),
+                       self._write(tmp_path, embedded, "t.json")):
+            with pytest.raises(ValueError,
+                               match="duplicate triple in triple list"):
+                read_instance(source)
+
     @pytest.mark.parametrize("colors, names", [
         ("RXD", "colors must hold R, B and D only, got 'X'"),
         ("RBr", "colors must hold R, B and D only, got 'r'"),
@@ -343,6 +358,10 @@ class TestSplitOracle:
             m = int(rng.integers(0, 12))
             body = np.sort([rng.choice(n, width, replace=False) + 1
                             for _ in range(m)], axis=-1).reshape(m, width)
+            if width == 3:  # a repeated triple line is an error
+                first = np.unique(body, axis=0, return_index=True)[1]
+                body = body[np.sort(first)]
+                m = len(body)
             seed = int(rng.integers(0, 2**63 - 1))  # up to int64 max - 1
             text = self._text(rng, [[n, m, seed], *body.tolist()])
             path.write_bytes(text.encode("ascii"))
