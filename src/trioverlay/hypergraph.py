@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -133,8 +133,9 @@ class TripleSystem:
 
 def _combinations3(N: int) -> np.ndarray:
     """The C(N, 3) triples u < v < w of range(N), lexicographic, (m, 3)."""
-    return np.array(list(combinations(range(N), 3)),
-                    dtype=np.int64).reshape(-1, 3)
+    count = math.comb(N, 3)
+    return np.fromiter(chain.from_iterable(combinations(range(N), 3)),
+                       dtype=np.int64, count=3 * count).reshape(count, 3)
 
 
 def sample_base_3graphs(params: Params, seed: int) -> tuple[TripleSystem, TripleSystem]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphview import SimpleGraphView
-from .hypergraph import TripleSystem
+from .hypergraph import TripleSystem, _row_keys
 from .params import Params
 
 __all__ = ["InstanceRecord", "TripleRecord", "graph_record", "triple_record",
@@ -119,7 +119,7 @@ def triple_record(h, params: Params | None = None, seed: int = 0,
                   stats: dict | None = None) -> TripleRecord:
     colors = _COLOR_OF_FLAG[h.flags].tobytes().decode()
     return TripleRecord(
-        n=h.order, seed=seed, triples=h.triples, colors=colors, params=params,
+        n=h.order, seed=seed, triples=h.triples.copy(), colors=colors, params=params,
         system_kind=h.kind, cells=None if h.cells is None else h.cells.copy(),
         stats=dict(stats or {}),
     )
@@ -254,8 +254,8 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
             | (arr[:, 1] == arr[:, 2])
         if bad.any():
             raise ValueError(f"bad triple {tuple(arr[bad.argmax()].tolist())}")
-        rows = arr[np.lexsort(arr.T[::-1])]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
+        key = np.sort(_row_keys(arr, n)[0])
+        if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate triple in triple list")
         cells = payload.get("cells")
         colors = payload.get("colors", "")
