@@ -151,6 +151,12 @@ class TestTripleRoundTrip:
         assert rec.colors == "RBD"
         assert np.array_equal(rec.system().flags, h.flags)
 
+    def test_record_owns_its_triples(self):
+        h = TripleSystem.from_arrays(5, [(0, 1, 2), (1, 2, 4)], [RED, BLUE])
+        rec = triple_record(h)
+        rec.triples[0] = (2, 3, 4)
+        assert np.array_equal(h.triples, [(0, 1, 2), (1, 2, 4)])
+
     def test_sidecar_less_fallback(self, tmp_path):
         par, h = _reduced_system(seed=2)
         rec = triple_record(h, params=par, seed=2)
@@ -249,14 +255,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="color"):
             read_instance(path)
 
-    @pytest.mark.parametrize("lines", [
-        [[1, 2, 3], [1, 2, 3], [2, 3, 4]], [[1, 2, 3], [2, 3, 4], [3, 1, 2]]],
-        ids=["adjacent", "reordered"])
-    def test_repeated_triple(self, tmp_path, lines):
+    @pytest.mark.parametrize("n, lines", [
+        (5, [[1, 2, 3], [1, 2, 3], [2, 3, 4]]),
+        (5, [[1, 2, 3], [2, 3, 4], [3, 1, 2]]),
+        # n^3 overflows int64: the rows are keyed on vertex ranks
+        (3_000_000, [[2999994, 2999992, 1], [1, 2, 3], [1, 2999992, 2999994]])],
+        ids=["adjacent", "reordered", "beyond-int64"])
+    def test_repeated_triple(self, tmp_path, n, lines):
         # a file of two distinct triples must not read as a system of two
         # triples out of three lines
-        text = "5 3 0\n" + "".join(f"{u} {v} {w}\n" for u, v, w in lines)
-        embedded = json.dumps({"format": "json", "kind": "triples", "n": 5,
+        text = f"{n} 3 0\n" + "".join(f"{u} {v} {w}\n" for u, v, w in lines)
+        embedded = json.dumps({"format": "json", "kind": "triples", "n": n,
                                "m": 3, "seed": 0, "colors": "RBD",
                                "triples": lines})
         for source in (self._write(tmp_path, text, "t.triples"),
