@@ -9,8 +9,10 @@ equals derive_params wherever that is buildable), the file records:
 - the machine: nproc, the numpy version and BLAS, the BLAS thread count;
 - end to end: CLI build, verify, alpha --method greedy and diagnose, each in
   a fresh interpreter, with the sha256 of the built files;
-- per stage: the induce (construction._placed_adjacency) and the CSR
-  (graphview.from_edge_arrays), in process;
+- per stage: the induce (construction._placed_adjacency), the CSR
+  (graphview.from_edge_arrays), the check that the CSR's edge array is the
+  placed graph (ColoredProductGraph.placed_edges_are) and the triangle count
+  (graphview.count_triangles), in process;
 - triple systems: CLI hyper --explicit and verify on its file at each of
   HYPER_SHAPES, with the sha256 of the written files.
 
@@ -52,7 +54,7 @@ STAGES = """
 import json, sys
 from time import perf_counter
 from trioverlay import construction as c
-from trioverlay.graphview import SimpleGraphView
+from trioverlay.graphview import SimpleGraphView, count_triangles
 from trioverlay.params import feasible_params
 par = feasible_params(int(sys.argv[1]))
 gr, gb = c.sample_base_graphs(par, 0)
@@ -63,8 +65,15 @@ us, vs = c._placed_adjacency(g2, placement)
 t1 = perf_counter()
 graph = SimpleGraphView.from_edge_arrays(par.n, us, vs)
 t2 = perf_counter()
+edges = graph.edge_array()
+t3 = perf_counter()
+assert g2.placed_edges_are(placement, edges)
+t4 = perf_counter()
+assert count_triangles(graph) == 0
+t5 = perf_counter()
 print(json.dumps({"N": par.N, "m": graph.m, "placed_adjacency": t1 - t0,
-                  "from_edge_arrays": t2 - t1}))
+                  "from_edge_arrays": t2 - t1, "placed_edges_are": t4 - t3,
+                  "count_triangles": t5 - t4}))
 """
 
 
@@ -104,7 +113,8 @@ def bench_size(env, n: int, work: Path) -> dict:
     runs = [json.loads(python(env, "-c", STAGES, str(n)))
             for _ in range(REPEATS)]
     stages = {key: round(statistics.median(r[key] for r in runs), 4)
-              for key in ("placed_adjacency", "from_edge_arrays")}
+              for key in ("placed_adjacency", "from_edge_arrays",
+                          "placed_edges_are", "count_triangles")}
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
             "stage_s": stages, "sha256": sha}
 

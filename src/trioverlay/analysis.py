@@ -312,7 +312,8 @@ def edges_are_open_plus(instance: PlacedGraph, I) -> bool:
     I = np.asarray(I, dtype=np.int64)
     rows = instance.placement.rows[I].astype(np.int64)
     cols = instance.placement.cols[I].astype(np.int64)
-    red, blue = instance.product.flag_blocks((rows, cols), (rows, cols))
+    red, blue = instance.product.pair_flags(rows[:, None], cols[:, None],
+                                            rows, cols)
     adj = red | blue
     comp_r = common_upper_neighbor_matrix(instance.base_red.adj)
     comp_b = common_upper_neighbor_matrix(instance.base_blue.adj)

@@ -19,10 +19,11 @@ Flag semantics on a pair of distinct cells a = (i, j), b = (k, l):
                   "common neighbor exists" whenever j has any neighbor)
     blue survives symmetrically with the roles of the sides swapped.
 
-Both stages are therefore products of a row-pair condition and a column-pair
-condition, which is what ColoredProductGraph stores: four N x N boolean
-matrices.  This reproduces the definition exactly at every scale while
-keeping pair queries O(1) and slicing vectorized.
+Before and after deletion, a flag is therefore the product of a row-pair
+condition and a column-pair condition, which is what ColoredProductGraph
+stores: four N x N boolean matrices, read through the one flag rule
+ColoredProductGraph.pair_flags.  This reproduces the definition exactly at
+every scale while keeping pair queries O(1) and slicing vectorized.
 """
 
 from __future__ import annotations
@@ -156,10 +157,10 @@ class ColoredProductGraph:
     blue_col[j, l].
 
     Invariant: all four matrices are symmetric, and red_row and blue_col have
-    empty diagonals, so equal cells never carry flags.  Both stages keep it:
-    red_row and blue_col are BaseGraph.adj, or BaseGraph.adj masked.  The
-    induce (_placed_adjacency) relies on it: it walks only the pairs i < k
-    of red_row and j < l of blue_col.
+    empty diagonals, so equal cells never carry flags.  The product and the
+    deleted product both keep it: red_row and blue_col are BaseGraph.adj, or
+    BaseGraph.adj masked.  The induce (_placed_adjacency) relies on it: it
+    walks only the pairs i < k of red_row and j < l of blue_col.
     """
 
     N: int
@@ -167,25 +168,27 @@ class ColoredProductGraph:
     red_col: np.ndarray
     blue_row: np.ndarray
     blue_col: np.ndarray
-    stage: str  # "product" (pre-deletion) or "deleted"
 
     @property
     def cells(self) -> int:
         return self.N * self.N
 
+    def pair_flags(self, ra, ca, rb, cb):
+        """(red, blue) flags of cells (ra, ca) against cells (rb, cb).
+
+        The one flag rule: red_row[ra, rb] & red_col[ca, cb] and
+        blue_row[ra, rb] & blue_col[ca, cb].  The index arrays broadcast as
+        numpy indexing does; a pair of equal cells reads (False, False).
+        """
+        return (self.red_row[ra, rb] & self.red_col[ca, cb],
+                self.blue_row[ra, rb] & self.blue_col[ca, cb])
+
     def edge_flags(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[bool, bool]:
         """(red, blue) flags of the pair of distinct cells a, b."""
         if a == b:
             raise ValueError("flags are defined for distinct cells")
-        i, j = a
-        k, l = b
-        red = bool(self.red_row[i, k] and self.red_col[j, l])
-        blue = bool(self.blue_row[i, k] and self.blue_col[j, l])
-        return red, blue
-
-    def has_edge(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        red, blue = self.edge_flags(a, b)
-        return red or blue
+        red, blue = self.pair_flags(a[0], a[1], b[0], b[1])
+        return bool(red), bool(blue)
 
     # ---------------- global counts (exact, via the factorization) ----------
 
@@ -216,15 +219,10 @@ class ColoredProductGraph:
         if not ((u >= 0).all() and (u < v).all() and (v < n).all()
                 and (np.diff(u * n + v) > 0).all()):
             return False
-        ru, cu = placement.rows[u], placement.cols[u]
-        rv, cv = placement.rows[v], placement.cols[v]
-        flagged = ((self.red_row[ru, rv] & self.red_col[cu, cv])
-                   | (self.blue_row[ru, rv] & self.blue_col[cu, cv]))
-        return (bool(flagged.all())
+        red, blue = self.pair_flags(placement.rows[u], placement.cols[u],
+                                    placement.rows[v], placement.cols[v])
+        return (bool((red | blue).all())
                 and len(edges) == self.flag_counts(placement)["edges"])
-
-    def edge_count(self) -> int:
-        return self.flag_counts()["edges"]
 
     # ---------------- materializations ----------------
 
@@ -235,21 +233,8 @@ class ColoredProductGraph:
         """
         if self.cells > 4096:
             raise ValueError(f"dense product with {self.cells} cells refused")
-        red = (self.red_row[:, None, :, None] & self.red_col[None, :, None, :])
-        blue = (self.blue_row[:, None, :, None] & self.blue_col[None, :, None, :])
-        return (red.reshape(self.cells, self.cells),
-                blue.reshape(self.cells, self.cells))
-
-    def flag_blocks(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """(red, blue) flag matrices between two lists of cells.
-
-        a and b are (rows, cols) index-array pairs; entry [s, t] of each
-        matrix is the flag of cell (a[0][s], a[1][s]) against (b[0][t], b[1][t]).
-        """
-        (ra, ca), (rb, cb) = a, b
-        red = self.red_row[np.ix_(ra, rb)] & self.red_col[np.ix_(ca, cb)]
-        blue = self.blue_row[np.ix_(ra, rb)] & self.blue_col[np.ix_(ca, cb)]
-        return red, blue
+        rows, cols = np.divmod(np.arange(self.cells), self.N)
+        return self.pair_flags(rows[:, None], cols[:, None], rows, cols)
 
     def cell_graph(self) -> SimpleGraphView:
         """SimpleGraphView over all N^2 cells (red or blue flag = edge)."""
@@ -273,7 +258,6 @@ def conormal_product(gr: BaseGraph, gb: BaseGraph) -> ColoredProductGraph:
         red_col=free,
         blue_row=free,
         blue_col=gb.adj.copy(),
-        stage="product",
     )
 
 
@@ -284,18 +268,19 @@ def apply_deletion_rule(g1: ColoredProductGraph, gr: BaseGraph,
     Red flags die inside any box (upper red neighborhood of a row) x (all
     columns) or (all rows) x (full blue neighborhood of a column); blue flags
     symmetrically with "upper" and "full" swapped between the sides.
+    g1 must be conormal_product(gr, gb).  A deleted product of bases with
+    an edge fails that test; one of empty bases equals the product.
     """
-    if g1.stage != "product":
-        raise ValueError("deletion applies to the undeleted product")
-    if not (np.array_equal(g1.red_row, gr.adj) and np.array_equal(g1.blue_col, gb.adj)):
-        raise ValueError("product does not match the supplied base graphs")
+    if not (np.array_equal(g1.red_row, gr.adj)
+            and np.array_equal(g1.blue_col, gb.adj)
+            and g1.red_col.all() and g1.blue_row.all()):
+        raise ValueError("g1 is not the conormal product of the base graphs")
     return ColoredProductGraph(
         N=g1.N,
         red_row=gr.adj & ~common_upper_neighbor_matrix(gr.adj),
         red_col=~common_neighbor_matrix(gb.adj),
         blue_row=~common_neighbor_matrix(gr.adj),
         blue_col=gb.adj & ~common_upper_neighbor_matrix(gb.adj),
-        stage="deleted",
     )
 
 
@@ -353,7 +338,7 @@ class PlacedGraph:
     seed: int | None
     base_red: BaseGraph
     base_blue: BaseGraph
-    product: ColoredProductGraph  # deleted stage
+    product: ColoredProductGraph  # after apply_deletion_rule
     placement: Placement
     graph: SimpleGraphView
     stats: dict = field(default_factory=dict)
@@ -387,9 +372,9 @@ def _placed_adjacency(product: ColoredProductGraph, placement: Placement):
     particular order: O(m) fiber pairs instead of n^2 pair decisions.
 
     A red flag needs a red_row pair of rows, a blue flag a blue_col pair of
-    columns.  Both matrices are symmetric with empty diagonals at either
-    stage (BaseGraph.adj, or BaseGraph.adj masked), so the red pass takes
-    the fibers of every red_row pair i < k and keeps the pairs with a
+    columns.  Both matrices are symmetric with empty diagonals before and
+    after deletion (BaseGraph.adj, or BaseGraph.adj masked), so the red pass
+    takes the fibers of every red_row pair i < k and keeps the pairs with a
     red_col flag; the blue pass does the same over blue_col pairs j < l,
     filtered by blue_row, and drops the pairs the red pass already holds.
     """
@@ -423,9 +408,8 @@ def induce_final_graph(g2: ColoredProductGraph, placement: Placement,
                        base_red: BaseGraph | None = None,
                        base_blue: BaseGraph | None = None,
                        extra_stats: dict | None = None) -> PlacedGraph:
-    """Pull the cell graph back through the placement."""
-    if g2.stage != "deleted":
-        raise ValueError("final graph is induced from the deleted product")
+    """Pull the cell graph of the deleted product g2 back through the
+    placement."""
     graph = SimpleGraphView.from_edge_arrays(
         placement.n, *_placed_adjacency(g2, placement))
     return PlacedGraph(params, seed, base_red, base_blue, g2, placement, graph,

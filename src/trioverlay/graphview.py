@@ -1,9 +1,11 @@
 """Uniform facade for simple undirected graphs.
 
-CSR neighbor arrays plus lazily packed uint64 bitset rows.  Every graph the
-package produces (placed overlays, product cell graphs, baselines, links of
-triple systems) is exposed through this one container so the counting and
-independence code has a single surface to target.
+A graph is its vertex count n and sorted CSR neighbor arrays (indptr,
+indices), nothing else; packed_rows builds uint64 bitset rows from them on
+each call.  Every graph the package produces (placed overlays, product cell
+graphs, baselines, links of triple systems) is exposed through this one
+container so the counting and independence code has a single surface to
+target.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class SimpleGraphView:
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
-        self._packed = None
 
     # ---------------- constructors ----------------
 
@@ -59,14 +60,6 @@ class SimpleGraphView:
             arr = np.array(pairs, dtype=np.int64)
             return cls.from_edge_arrays(n, arr[:, 0], arr[:, 1])
         return cls.from_edge_arrays(n, np.empty(0, np.int64), np.empty(0, np.int64))
-
-    @classmethod
-    def from_dense(cls, adj: np.ndarray) -> "SimpleGraphView":
-        adj = np.asarray(adj, dtype=bool)
-        if adj.shape[0] != adj.shape[1] or not (adj == adj.T).all() or adj.diagonal().any():
-            raise ValueError("adjacency must be symmetric with empty diagonal")
-        us, vs = np.nonzero(np.triu(adj, 1))
-        return cls.from_edge_arrays(adj.shape[0], us, vs)
 
     # ---------------- queries ----------------
 
@@ -104,27 +97,10 @@ class SimpleGraphView:
         return adj
 
     def packed_rows(self) -> np.ndarray:
-        """(n, ceil(n/64)) uint64 bitset adjacency, bit v of row u <=> edge uv."""
-        if self._packed is None:
-            heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            self._packed = pack_bits(self.n, heads, self.indices)
-        return self._packed
-
-    def subgraph(self, vertices) -> "SimpleGraphView":
-        """Induced subgraph; vertex i of the result is vertices[i]."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        pos = -np.ones(self.n, dtype=np.int64)
-        pos[vertices] = np.arange(vertices.size)
-        us, vs = [], []
-        for i, v in enumerate(vertices):
-            nb = self.neighbors(v)
-            sel = pos[nb]
-            sel = sel[(sel >= 0) & (sel > i)]
-            us.append(np.full(sel.size, i, dtype=np.int64))
-            vs.append(sel)
-        return SimpleGraphView.from_edge_arrays(
-            vertices.size, np.concatenate(us) if us else np.empty(0, np.int64),
-            np.concatenate(vs) if vs else np.empty(0, np.int64))
+        """(n, ceil(n/64)) uint64 bitset adjacency, bit v of row u <=> edge uv,
+        packed anew on each call."""
+        heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        return pack_bits(self.n, heads, self.indices)
 
 
 def count_triangles(g: SimpleGraphView) -> int:

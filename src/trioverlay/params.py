@@ -167,7 +167,6 @@ def derive_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
 
 
 def explicit_params(n: int, N: int, p: float, k: int, epsilon: float = 0.1,
-                    eps1: float | None = None, eps2: float | None = None,
                     t1: float | None = None, t2: float | None = None,
                     t3: float | None = None) -> Params:
     """Take (n, N, p, k) verbatim; for desk-scale instances.
@@ -176,16 +175,12 @@ def explicit_params(n: int, N: int, p: float, k: int, epsilon: float = 0.1,
     break the chain t1 < k at small n.  beta and kappa are back-solved from
     p and k for provenance (NaN when n is too small to define them).
     """
-    if eps1 is None:
-        eps1 = epsilon ** 3
-    if eps2 is None:
-        eps2 = epsilon ** 6
     ln = math.log(n) if n >= 2 else 0.0
     beta = p * math.sqrt(n / ln) if ln > 0 else math.nan
     kappa = k / math.sqrt(n * ln) if ln > 0 else math.nan
     par = Params(
         n=n, N=N, p=p, k=k,
-        epsilon=epsilon, eps1=eps1, eps2=eps2,
+        epsilon=epsilon, eps1=epsilon ** 3, eps2=epsilon ** 6,
         beta=beta, kappa=kappa,
         t1=0.75 * k if t1 is None else t1,
         t2=0.50 * k if t2 is None else t2,

@@ -249,11 +249,13 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
             stats=stats)
     if kind == "triples":
         raw = payload.get("triples", []) if body is None else body
-        arr = np.sort(_entries(raw, 3, "triples"), axis=1) - 1
+        entries = _entries(raw, 3, "triples")
+        arr = np.sort(entries, axis=1) - 1
         bad = (arr[:, 0] < 0) | (arr[:, 2] >= n) | (arr[:, 0] == arr[:, 1]) \
             | (arr[:, 1] == arr[:, 2])
-        if bad.any():
-            raise ValueError(f"bad triple {tuple(arr[bad.argmax()].tolist())}")
+        if bad.any():  # named as the file writes it, 1-based
+            line = tuple(entries[bad.argmax()].tolist())
+            raise ValueError(f"bad triple {line}")
         key = np.sort(_row_keys(arr, n)[0])
         if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate triple in triple list")

@@ -122,8 +122,8 @@ def flags_of_product(g, N: int):
 def placed_edge_array(product, placement) -> np.ndarray:
     """(m, 2) edges u < v of the placed graph, lexicographic, from the dense
     n x n flag matrices of the placed cells."""
-    cells = (placement.rows, placement.cols)
-    red, blue = product.flag_blocks(cells, cells)
+    rows, cols = placement.rows, placement.cols
+    red, blue = product.pair_flags(rows[:, None], cols[:, None], rows, cols)
     return np.argwhere(np.triu(red | blue, 1))
 
 

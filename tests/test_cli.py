@@ -220,6 +220,16 @@ class TestHyper:
         assert err == ("error: 2097153 distinct vertices: too many to key "
                        "triples in int64\n")
 
+    @pytest.mark.parametrize("line", ["1 1 2", "2 1 1", "6 1 2"])
+    def test_bad_triple_named_in_file_ids(self, tmp_path, capsys, line):
+        path = str(tmp_path / "bad.triples")
+        with open(path, "w") as fh:
+            fh.write(f"5 1 0\n{line}\n")
+        capsys.readouterr()
+        assert run(["verify", path]) == 1
+        want = tuple(int(x) for x in line.split())
+        assert capsys.readouterr().err == f"error: bad triple {want}\n"
+
     @pytest.mark.parametrize("fmt", ["edgelist", "json"])
     def test_repeated_triple(self, tmp_path, capsys, fmt):
         # two distinct triples on three lines, as a graph file with a
@@ -674,6 +684,19 @@ class TestConfig:
         assert run(["build", "--config", str(cfg)]) == 2
         assert run(["build", "--config", str(tmp_path / "missing.cfg")]) == 2
         assert run(["build", "--config"]) == 2
+
+    @pytest.mark.parametrize("key", ["max_steps", "max-steps"])
+    def test_underscore_keys(self, tmp_path, key):
+        # a config key names its flag with "_" or "-"
+        cfg = tmp_path / "s.cfg"
+        a, b = tmp_path / "a" / "sweep.csv", tmp_path / "b" / "sweep.csv"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        cfg.write_text(f"n = 20\nconstructions = process\n{key} = 5\n")
+        assert run(["sweep", "--config", str(cfg), "--out", str(a)]) == 0
+        assert run(["sweep", "--n", "20", "--constructions", "process",
+                    "--max-steps", "5", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestWiring:

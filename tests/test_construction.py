@@ -250,6 +250,38 @@ class TestProduct:
                 red, blue = g.to_dense()
                 assert np.array_equal(g.cell_graph().to_dense(), red | blue)
 
+    @pytest.mark.parametrize("oracle", [product_flags_bruteforce,
+                                        deletion_bruteforce],
+                             ids=["product", "deleted"])
+    def test_pair_flags_match_bruteforce(self, oracle):
+        # the one flag rule at scalar, 1-D and broadcast index shapes
+        rng = np.random.default_rng(19)
+        for _ in range(8):
+            N = int(rng.integers(2, 7))
+            gr, gb = random_bases(N, float(rng.random()), int(rng.integers(1e6)))
+            g = conormal_product(gr, gb)
+            if oracle is deletion_bruteforce:
+                g = apply_deletion_rule(g, gr, gb)
+            want = []
+            for flags in oracle(gr.edge_array(), gb.edge_array(), N):
+                dense = np.zeros((N * N, N * N), dtype=bool)
+                for (i, j), (k, l) in flags:
+                    dense[i * N + j, k * N + l] = dense[k * N + l, i * N + j] = True
+                want.append(dense)
+            rows, cols = np.divmod(np.arange(N * N), N)
+            got = g.pair_flags(rows[:, None], cols[:, None], rows, cols)
+            for x, w in zip(got, want):
+                assert x.shape == w.shape and np.array_equal(x, w)
+            s, t = rng.integers(N * N, size=(2, 40))
+            got = g.pair_flags(rows[s], cols[s], rows[t], cols[t])
+            for x, w in zip(got, want):
+                assert x.shape == (40,) and np.array_equal(x, w[s, t])
+            for a, b in zip(s[:10].tolist(), t[:10].tolist()):
+                got = g.pair_flags(int(rows[a]), int(cols[a]),
+                                   int(rows[b]), int(cols[b]))
+                assert [np.shape(x) for x in got] == [(), ()]
+                assert [bool(x) for x in got] == [w[a, b] for w in want]
+
     def test_mismatched_orders(self):
         gr = BaseGraph.from_edges("red", 2, [])
         gb = BaseGraph.from_edges("blue", 3, [])
@@ -333,7 +365,7 @@ class TestDeletionRule:
         # with complete bases and N >= 3 every pair is in some kill box
         gr, gb = random_bases(4, 1.0, seed=0)
         g2 = apply_deletion_rule(conormal_product(gr, gb), gr, gb)
-        assert g2.edge_count() == 0
+        assert g2.flag_counts()["edges"] == 0
 
     def test_stage_guard(self):
         gr, gb = random_bases(3, 0.5, seed=1)
@@ -341,6 +373,33 @@ class TestDeletionRule:
         g2 = apply_deletion_rule(g1, gr, gb)
         with pytest.raises(ValueError):
             apply_deletion_rule(g2, gr, gb)
+
+    def test_rejects_product_of_other_bases(self):
+        gr, gb = random_bases(5, 0.5, seed=2)
+        other_r, other_b = random_bases(5, 0.5, seed=3)
+        for g1 in (conormal_product(other_r, gb), conormal_product(gr, other_b)):
+            with pytest.raises(ValueError, match="not the conormal product"):
+                apply_deletion_rule(g1, gr, gb)
+
+    @pytest.mark.parametrize("red, blue", [([(0, 1)], []), ([], [(1, 2)]),
+                                           ([(0, 2)], [(0, 1)])],
+                             ids=["red", "blue", "both"])
+    def test_rejects_deleted_product(self, red, blue):
+        # one base edge leaves a single-edge red_row / blue_col unmasked,
+        # but empties the other side's diagonal
+        gr = BaseGraph.from_edges("red", 3, red)
+        gb = BaseGraph.from_edges("blue", 3, blue)
+        g2 = apply_deletion_rule(conormal_product(gr, gb), gr, gb)
+        with pytest.raises(ValueError, match="not the conormal product"):
+            apply_deletion_rule(g2, gr, gb)
+
+    def test_empty_bases_delete_nothing(self):
+        gr = BaseGraph.from_edges("red", 3, [])
+        gb = BaseGraph.from_edges("blue", 3, [])
+        g1 = conormal_product(gr, gb)
+        g2 = apply_deletion_rule(apply_deletion_rule(g1, gr, gb), gr, gb)
+        for name in ("red_row", "red_col", "blue_row", "blue_col"):
+            assert np.array_equal(getattr(g2, name), getattr(g1, name))
 
 
 class TestInjection:
@@ -453,7 +512,8 @@ class TestBuild:
                 for v in range(u + 1, min(g.n, 10)):
                     cu = placed.placement.cell_of(u)
                     cv = placed.placement.cell_of(v)
-                    assert g.has_edge(u, v) == placed.product.has_edge(cu, cv)
+                    assert g.has_edge(u, v) == any(
+                        placed.product.edge_flags(cu, cv))
 
     def test_derived_scale_density_window(self):
         # derived params n=5000 via clamped grid: density in [1.5p, 2.5p]

@@ -114,6 +114,12 @@ class TestExplicit:
         with pytest.raises(ValueError):
             explicit_params(n=16, N=4, p=0.3, k=8, t1=9.0, t2=3.0, t3=1.0)
 
+    def test_slacks_pinned_as_in_derived_mode(self):
+        par = explicit_params(n=16, N=4, p=0.3, k=8, epsilon=0.2)
+        assert close(par.eps1, 0.2 ** 3) and close(par.eps2, 0.2 ** 6)
+        with pytest.raises(TypeError):
+            explicit_params(n=16, N=4, p=0.3, k=8, eps1=0.01)
+
     def test_n1_degenerate_provenance_is_nan(self):
         par = explicit_params(n=1, N=2, p=0.5, k=1)
         assert math.isnan(par.beta) and math.isnan(par.kappa)
