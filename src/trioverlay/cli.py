@@ -433,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {"explicit", "clamp", "json", "exact", "no-adversarial"}
+_BOOL_FLAGS = {"--explicit", "--clamp", "--json", "--exact", "--no-adversarial"}
 
 
 def _apply_config(argv: list[str]) -> list[str]:
@@ -463,9 +463,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             if "=" not in line:
                 raise _Usage(f"bad config line {raw.rstrip()!r}: want key=value")
             key, val = (s.strip() for s in line.split("=", 1))
-            key = key.replace("_", "-")  # max_steps names --max-steps
-            flag = "--" + key
-            if key in _FLAG_KEYS:
+            flag = "--" + key.replace("_", "-")  # max_steps names --max-steps
+            if flag in _BOOL_FLAGS:
                 if val.lower() in ("1", "true", "yes", "on"):
                     injected.append(flag)
                 elif val.lower() not in ("0", "false", "no", "off"):
