@@ -11,8 +11,13 @@ equals derive_params wherever that is buildable), the file records:
   a fresh interpreter, with the sha256 of the built files;
 - per stage: the induce (construction._placed_adjacency), the CSR
   (graphview.from_edge_arrays), the check that the CSR's edge array is the
-  placed graph (ColoredProductGraph.placed_edges_are) and the triangle count
-  (graphview.count_triangles), in process;
+  placed graph (ColoredProductGraph.placed_edges_are), the triangle count
+  (graphview.count_triangles), the factorized triangle certificate
+  (ColoredProductGraph.triangle_certificate; null in a tree without it),
+  greedy alpha (independence.independence_greedy, 1 and 3 restarts) and
+  its swap step alone (independence._swap_improve on one min-degree pass),
+  in process, with the greedy values and the sha256 of the 3-restart
+  certificate;
 - triple systems: CLI hyper --explicit and verify on its file at each of
   HYPER_SHAPES, with the sha256 of the written files.
 
@@ -51,9 +56,9 @@ print(json.dumps({"nproc": os.cpu_count(), "numpy": np.__version__,
 """
 
 STAGES = """
-import json, sys
+import hashlib, json, sys
 from time import perf_counter
-from trioverlay import construction as c
+from trioverlay import construction as c, independence as ind
 from trioverlay.graphview import SimpleGraphView, count_triangles
 from trioverlay.params import feasible_params
 par = feasible_params(int(sys.argv[1]))
@@ -71,9 +76,27 @@ assert g2.placed_edges_are(placement, edges)
 t4 = perf_counter()
 assert count_triangles(graph) == 0
 t5 = perf_counter()
+greedy1 = ind.independence_greedy(graph, restarts=1, seed=0)
+t6 = perf_counter()
+greedy3 = ind.independence_greedy(graph, restarts=3, seed=0)
+t7 = perf_counter()
+chosen = ind._greedy_min_degree(graph, c.child_rng(0, c.STREAM_GREEDY))
+t8 = perf_counter()
+ind._swap_improve(graph, chosen)
+t9 = perf_counter()
+certificate = None
+if hasattr(g2, "triangle_certificate"):
+    assert g2.triangle_certificate() == 0
+    certificate = perf_counter() - t9
+cert = json.dumps(greedy3.certificate).encode()
 print(json.dumps({"N": par.N, "m": graph.m, "placed_adjacency": t1 - t0,
                   "from_edge_arrays": t2 - t1, "placed_edges_are": t4 - t3,
-                  "count_triangles": t5 - t4}))
+                  "count_triangles": t5 - t4, "triangle_certificate": certificate,
+                  "greedy_1": t6 - t5, "greedy_3": t7 - t6,
+                  "swap_improve": t9 - t8,
+                  "greedy": {"value_1": greedy1.value, "value_3": greedy3.value,
+                             "certificate_3_sha256":
+                                 hashlib.sha256(cert).hexdigest()}}))
 """
 
 
@@ -112,11 +135,14 @@ def bench_size(env, n: int, work: Path) -> dict:
     sha = digests(path)
     runs = [json.loads(python(env, "-c", STAGES, str(n)))
             for _ in range(REPEATS)]
-    stages = {key: round(statistics.median(r[key] for r in runs), 4)
+    stages = {key: None if runs[0][key] is None else
+              round(statistics.median(r[key] for r in runs), 4)
               for key in ("placed_adjacency", "from_edge_arrays",
-                          "placed_edges_are", "count_triangles")}
+                          "placed_edges_are", "count_triangles",
+                          "triangle_certificate", "greedy_1", "greedy_3",
+                          "swap_improve")}
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
-            "stage_s": stages, "sha256": sha}
+            "stage_s": stages, "greedy": runs[0]["greedy"], "sha256": sha}
 
 
 def bench_hyper(env, shape: tuple, work: Path) -> dict:

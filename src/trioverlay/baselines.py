@@ -69,7 +69,8 @@ def edge_deletion_baseline(n: int, p: float, seed: int) -> BaselineResult:
     doomed = apexes > 0
 
     g = SimpleGraphView.from_edge_arrays(n, us[~doomed], vs[~doomed])
-    assert count_triangles(g) == 0
+    if count_triangles(g):
+        raise AssertionError("edge-deletion baseline left a triangle")
     stats = {"m_initial": int(us.size), "triangles_initial": int(apexes.sum()),
              "edges_deleted": int(doomed.sum()), "m_final": g.m, "p": p}
     return BaselineResult("edge-deletion", n, seed, g, stats)
@@ -132,7 +133,8 @@ def triangle_free_process(n: int, seed: int, max_steps: int | None = None) -> Ba
                 break
 
     g = SimpleGraphView.from_edge_arrays(n, heads, tails)
-    assert count_triangles(g) == 0
+    if count_triangles(g):
+        raise AssertionError("triangle-free process closed a triangle")
     stats = {"m_final": g.m, "steps": len(heads), "open_remaining": open_pairs,
              "maximal": open_pairs == 0}
     return BaselineResult("triangle-free-process", n, seed, g, stats)

@@ -224,6 +224,26 @@ class ColoredProductGraph:
         return (bool((red | blue).all())
                 and len(edges) == self.flag_counts(placement)["edges"])
 
+    def triangle_certificate(self) -> int:
+        """tr(M^3) for M = red + blue, the flag matrices of to_dense: closed
+        3-walks of the cell graph, each weighted by its colourings.  It is 0
+        iff the cell graph, and so every placed graph, is triangle-free.
+
+        M^3 expands into 8 colour words.  The trace is cyclic, so they fall
+        into 4 classes, RRR, RRB, RBB and BBB, of 1, 3, 3 and 1 words, and
+        the trace of a word of Kronecker factors is (row-side trace) x
+        (column-side trace).  For symmetric X, Y, tr(XXY) = sum(XX * Y), so
+        each side takes two products, whose entries are at most N.
+        """
+        def traces(x, y):  # tr(XXX), tr(XXY), tr(XYY), tr(YYY)
+            xx, yy = count_matmul(x, x), count_matmul(y, y)
+            return [int((a * b).sum(dtype=np.float64))
+                    for a, b in ((xx, x), (xx, y), (yy, x), (yy, y))]
+
+        rows = traces(self.red_row, self.blue_row)
+        cols = traces(self.red_col, self.blue_col)
+        return sum(w * r * c for w, r, c in zip((1, 3, 3, 1), rows, cols))
+
     # ---------------- materializations ----------------
 
     def to_dense(self) -> tuple[np.ndarray, np.ndarray]:

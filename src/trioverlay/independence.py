@@ -10,7 +10,12 @@ graph is triangle-free, which gives alpha >= max degree there) and repeated
 min-degree greedy passes with random tie-breaking, then a (1,2)-swap local
 improvement.  A greedy pass runs over the CSR arrays with a degree array and
 a key array (no heap): each step is one argmin over the live vertices and
-one gather of the removed neighbourhood's neighbour lists.  Certificates are
+one gather of the removed neighbourhood's neighbour lists, and once the
+minimum degree is 0 one step takes every degree-0 vertex, in key order.
+The swaps keep each vertex's chosen-neighbour count in an array and find
+each owner's exclusive outsiders from the chosen rows' CSR slices; owners
+are visited in the iteration order of the chosen Python set, which is not
+ascending in general and fixes which swaps happen.  Certificates are
 validated before returning.
 """
 
@@ -126,6 +131,15 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
 _DEAD = np.iinfo(np.int64).max  # degree of a removed vertex
 
 
+def _rows(g: SimpleGraphView, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of vs concatenated, and their lengths."""
+    indptr = g.indptr
+    lens = indptr[vs + 1] - indptr[vs]
+    at = np.arange(lens.sum()) + np.repeat(indptr[vs] - (np.cumsum(lens) - lens),
+                                           lens)
+    return g.indices[at], lens
+
+
 def _greedy_min_degree(g: SimpleGraphView, rng) -> list[int]:
     """Min-degree greedy with random tie-breaks, over the CSR arrays.
 
@@ -137,86 +151,116 @@ def _greedy_min_degree(g: SimpleGraphView, rng) -> list[int]:
     decrement in that loop order; a vertex decremented twice keeps its last.
     This is the output and the draw stream of a lazy-deletion heap with one
     push per decrement, whose only valid entry per vertex is its latest.
+    A degree-0 pick removes nothing else and draws nothing, so once the
+    minimum is 0 every degree-0 vertex is picked next, in (key, index)
+    order: one step takes them all.
     """
     n = g.n
-    indptr, indices = g.indptr, g.indices
     deg = g.degree_sequence().astype(np.int64)
     key = rng.random(n)
     rank = np.full(n, n, dtype=np.int64)  # position among the step's w_i
+    last = np.full(n, -1, dtype=np.int64)  # within a step: last t with x_t = x
     chosen = []
     while True:
         d = deg.min(initial=_DEAD)
         if d == _DEAD:
             break
         ties = np.flatnonzero(deg == d)
+        if d == 0:
+            ties = ties[np.argsort(key[ties], kind="stable")]
+            chosen.extend(ties.tolist())
+            deg[ties] = _DEAD
+            continue
         v = int(ties[np.argmin(key[ties])])
         chosen.append(v)
         deg[v] = _DEAD
-        nb = indices[indptr[v]:indptr[v + 1]]
+        nb = g.neighbors(v)
         ws = nb[deg[nb] != _DEAD]
         if not ws.size:
             continue
         rank[ws] = np.arange(ws.size)
         # neighbour lists of w_0, w_1, ... concatenated; owner[t] = i of x_t
-        lens = indptr[ws + 1] - indptr[ws]
+        xs, lens = _rows(g, ws)
         owner = np.repeat(np.arange(ws.size), lens)
-        xs = indices[np.arange(owner.size)
-                     + np.repeat(indptr[ws] - (np.cumsum(lens) - lens), lens)]
         xs = xs[(deg[xs] != _DEAD) & (rank[xs] > owner)]
         draws = rng.random(xs.size)
-        # first occurrence in reverse = last decrement of each vertex
-        hit, last, count = np.unique(xs[::-1], return_index=True,
-                                     return_counts=True)
-        deg[hit] -= count
-        key[hit] = draws[xs.size - 1 - last]
+        deg -= np.bincount(xs, minlength=n)
+        # each decremented vertex keeps the draw of its last decrement
+        t = np.arange(xs.size)
+        np.maximum.at(last, xs, t)
+        t = t[last[xs] == t]
+        key[xs[t]] = draws[t]
+        last[xs] = -1
         deg[ws] = _DEAD
     return chosen
 
 
 def _swap_improve(g: SimpleGraphView, chosen: list[int], rounds: int = 5) -> list[int]:
-    """(1,2)-swaps: drop one chosen vertex, add two of its exclusive outsiders."""
-    current = set(chosen)
+    """(1,2)-swaps: drop one chosen vertex, add two of its exclusive outsiders.
 
-    def no_chosen_neighbor(w, skip=None):
-        return all(x == skip or x not in current for x in g.neighbors(w).tolist())
+    A round first adds, in ascending order, every outsider with no chosen
+    neighbour (only those free when the round starts can be).  It then
+    groups the exclusive outsiders (one chosen neighbour, the owner) by
+    owner, ascending within each, and visits the owners in the iteration
+    order of the set `current`, which is not ascending in general: at the
+    first pair a < b of an owner's outsiders that are still exclusive and
+    not adjacent, the owner leaves and a, b join.  cnt, each vertex's
+    chosen-neighbour count, is kept exact through every change, so each
+    recheck is one lookup.
+    """
+    n, indices, indptr = g.n, g.indices, g.indptr
+    current = set(chosen)
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(current, dtype=np.int64, count=len(current))] = True
+    cnt = np.bincount(_rows(g, np.flatnonzero(mask))[0], minlength=n)
+
+    def join(w):
+        current.add(w)
+        mask[w] = True
+        cnt[indices[indptr[w]:indptr[w + 1]]] += 1
+
+    def leave(w):
+        current.remove(w)
+        mask[w] = False
+        cnt[indices[indptr[w]:indptr[w + 1]]] -= 1
 
     for _ in range(rounds):
         improved = False
-        # maximality first: outsiders with no chosen neighbor join directly
-        for w in range(g.n):
-            if w not in current and no_chosen_neighbor(w):
-                current.add(w)
+        # maximality first: outsiders with no chosen neighbour join directly
+        for w in np.flatnonzero((cnt == 0) & ~mask).tolist():
+            if cnt[w] == 0:
+                join(w)
                 improved = True
-        cnt: dict[int, int] = {}
-        owner: dict[int, int] = {}
-        for v in current:
-            for w in g.neighbors(v).tolist():
-                cnt[w] = cnt.get(w, 0) + 1
-                owner[w] = v
-        candidates: dict[int, list[int]] = {}
-        for w, c in cnt.items():
-            if c == 1 and w not in current:
-                candidates.setdefault(owner[w], []).append(w)
-        for v, outs in candidates.items():
-            if v not in current:
+        # exclusive outsiders by owner, from the chosen rows in ascending order
+        owned = np.flatnonzero(mask)
+        nbrs, lens = _rows(g, owned)
+        heads = np.repeat(owned, lens)
+        excl = (cnt[nbrs] == 1) & ~mask[nbrs]
+        heads, outs = heads[excl], nbrs[excl]
+        owner, start, size = np.unique(heads, return_index=True,
+                                       return_counts=True)
+        first = np.zeros(n, dtype=np.int64)
+        count = np.zeros(n, dtype=np.int64)
+        first[owner], count[owner] = start, size
+        order = np.fromiter(current, dtype=np.int64, count=len(current))
+        for v in order[count[order] > 1].tolist():
+            if not mask[v]:
                 continue
-            done = False
-            for ii in range(len(outs)):
-                a = outs[ii]
-                # counters can be stale after earlier swaps; recheck on use
-                if a in current or not no_chosen_neighbor(a, v):
-                    continue
-                for jj in range(ii + 1, len(outs)):
-                    b = outs[jj]
-                    if b in current or g.has_edge(a, b):
-                        continue
-                    if no_chosen_neighbor(b, v):
-                        current.remove(v)
-                        current.add(a)
-                        current.add(b)
-                        improved = done = True
-                        break
-                if done:
+            # still exclusive: v, still chosen, is the one chosen neighbour
+            cand = outs[first[v]:first[v] + count[v]]
+            cand = cand[(cnt[cand] == 1) & ~mask[cand]]
+            for i in range(cand.size - 1):
+                a = cand[i]
+                later = cand[i + 1:]
+                nb = indices[indptr[a]:indptr[a + 1]]
+                # nb holds v, so it is not empty
+                at = np.minimum(np.searchsorted(nb, later), nb.size - 1)
+                free = np.flatnonzero(nb[at] != later)
+                if free.size:
+                    leave(v)
+                    join(int(a))
+                    join(int(later[free[0]]))
+                    improved = True
                     break
         if not improved:
             break

@@ -256,7 +256,9 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
         if bad.any():  # named as the file writes it, 1-based
             line = tuple(entries[bad.argmax()].tolist())
             raise ValueError(f"bad triple {line}")
-        key = np.sort(_row_keys(arr, n)[0])
+        key = _row_keys(arr, n)[0]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate triple in triple list")
         cells = payload.get("cells")
@@ -270,6 +272,9 @@ def _from_payload(payload: dict, body: np.ndarray | None = None):
         if odd:
             raise TypeError(
                 f"colors must hold R, B and D only, got {odd[0]!r}")
+        # lex-sorted, whatever the file's line order; colours follow
+        arr = arr[order]
+        colors = np.frombuffer(colors.encode(), "S1")[order].tobytes().decode()
         return TripleRecord(
             n=n, seed=seed, triples=arr, colors=colors, params=params,
             system_kind=payload.get("system_kind", "reduced"),

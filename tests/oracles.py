@@ -259,6 +259,59 @@ def greedy_min_degree_heap(g, rng) -> list[int]:
     return chosen
 
 
+def swap_improve_loop(g, chosen: list[int], rounds: int = 5) -> list[int]:
+    """(1,2)-swaps on Python sets and dicts, one vertex at a time.
+
+    Owners are visited in the iteration order of the set `current`, as the
+    candidates dict meets them."""
+    current = set(chosen)
+
+    def no_chosen_neighbor(w, skip=None):
+        return all(x == skip or x not in current for x in g.neighbors(w).tolist())
+
+    for _ in range(rounds):
+        improved = False
+        # maximality first: outsiders with no chosen neighbor join directly
+        for w in range(g.n):
+            if w not in current and no_chosen_neighbor(w):
+                current.add(w)
+                improved = True
+        cnt: dict[int, int] = {}
+        owner: dict[int, int] = {}
+        for v in current:
+            for w in g.neighbors(v).tolist():
+                cnt[w] = cnt.get(w, 0) + 1
+                owner[w] = v
+        candidates: dict[int, list[int]] = {}
+        for w, c in cnt.items():
+            if c == 1 and w not in current:
+                candidates.setdefault(owner[w], []).append(w)
+        for v, outs in candidates.items():
+            if v not in current:
+                continue
+            done = False
+            for ii in range(len(outs)):
+                a = outs[ii]
+                # counters can be stale after earlier swaps; recheck on use
+                if a in current or not no_chosen_neighbor(a, v):
+                    continue
+                for jj in range(ii + 1, len(outs)):
+                    b = outs[jj]
+                    if b in current or g.has_edge(a, b):
+                        continue
+                    if no_chosen_neighbor(b, v):
+                        current.remove(v)
+                        current.add(a)
+                        current.add(b)
+                        improved = done = True
+                        break
+                if done:
+                    break
+        if not improved:
+            break
+    return sorted(current)
+
+
 def alpha_bruteforce(n: int, edges) -> int:
     """Exact independence number by subset DP (n <= ~20)."""
     masks = [0] * n

@@ -1,10 +1,14 @@
 """Baseline constructions: edge deletion over G(n, p) and the greedy process."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import trioverlay
 from trioverlay.baselines import edge_deletion_baseline, triangle_free_process
 from trioverlay.graphview import count_triangles
 from trioverlay.params import feasible_params
@@ -220,3 +224,30 @@ def test_edge_deletion_matches_loop():
     p = feasible_params(2000).p
     assert_same_result(edge_deletion_baseline(2000, p, 0),
                        edge_deletion_loop(2000, p, 0))
+
+
+# a baseline whose triangle check reports a triangle, run under python -O
+_CHECK_UNDER_O = """
+import sys
+from trioverlay import baselines
+baselines.count_triangles = lambda g: 1
+try:
+    eval(sys.argv[1], vars(baselines))
+except AssertionError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("call", ["edge_deletion_baseline(12, 0.5, 0)",
+                                  "triangle_free_process(12, 0)"],
+                         ids=["edge-deletion", "process"])
+def test_triangle_check_survives_optimize(call):
+    # python -O strips assert statements; the check must not vanish with them
+    pkg_root = os.path.dirname(os.path.dirname(trioverlay.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _CHECK_UNDER_O, call],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "triangle" in proc.stdout

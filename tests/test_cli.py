@@ -503,6 +503,53 @@ class TestInduceOnce:
         assert len(calls) == 1
 
 
+class TestTriangleCertificate:
+    """verify counts triangles only where the factorization cannot decide."""
+
+    def test_rederivable_build_never_counts(self, tmp_path, monkeypatch,
+                                            capsys):
+        argvs = []
+        for seed in range(3):
+            path = build_small(tmp_path, name=f"i{seed}.edges", seed=seed)
+            argvs += [["verify", path, "--json"], ["verify", path]]
+        counted = []
+        with monkeypatch.context() as patch:
+            # an inconclusive certificate: verify counts, as it did before
+            patch.setattr(construction.ColoredProductGraph,
+                          "triangle_certificate", lambda self: 1)
+            for argv in argvs:
+                capsys.readouterr()
+                assert run(argv) == 0
+                counted.append(capsys.readouterr().out)
+
+        def count(g):
+            raise RuntimeError("counted")
+
+        monkeypatch.setattr(cli, "count_triangles", count)
+        for argv, out in zip(argvs, counted):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == out
+        assert json.loads(counted[0])["triangles"] == 0
+
+    def test_added_edge_closing_triangles_is_counted(self, tmp_path, capsys):
+        path = build_small(tmp_path, seed=4)
+        rec = read_instance(path)
+        g = rec.graph()
+        # two neighbours of a vertex: the edge between them closes a triangle
+        w = int(np.argmax(g.degree_sequence()))
+        u, v = g.neighbors(w)[:2].tolist()
+        common = set(g.neighbors(u).tolist()) & set(g.neighbors(v).tolist())
+        keys = np.append(rec.edges @ [rec.n, 1], u * rec.n + v)
+        rec.edges = np.column_stack(np.divmod(np.sort(keys), rec.n))
+        write_instance(rec, path)
+        capsys.readouterr()
+        assert run(["verify", path, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["triangles"] == len(common) >= 1
+        assert report["checks"]["triangle_free"] is False
+        assert report["checks"]["edges_rederivable"] is False
+
+
 class TestDiagnose:
     def test_full_report(self, tmp_path, capsys):
         path = build_small(tmp_path)

@@ -402,6 +402,38 @@ class TestDeletionRule:
             assert np.array_equal(getattr(g2, name), getattr(g1, name))
 
 
+class TestTriangleCertificate:
+    """tr((red + blue)^3) from the factors, against the dense cell matrices."""
+
+    def test_is_trace_of_flag_cube(self):
+        rng = np.random.default_rng(43)
+        with_triangles = 0
+        for trial in range(60):
+            N = int(rng.integers(2, 9))
+            gr, gb = random_bases(N, float(rng.uniform(0.05, 1.0)), trial)
+            g1 = conormal_product(gr, gb)
+            g2 = apply_deletion_rule(g1, gr, gb)
+            for g in (g1, g2):
+                red, blue = g.to_dense()
+                m = red.astype(np.int64) + blue
+                cert = g.triangle_certificate()
+                assert cert == np.trace(m @ m @ m), (trial, N)
+                # positive exactly when the cell graph has a triangle
+                tri = count_triangles(g.cell_graph())
+                assert (cert > 0) == (tri > 0)
+            with_triangles += g1.triangle_certificate() > 0
+            assert g2.triangle_certificate() == 0
+        assert with_triangles > 20
+
+    def test_derived_scale_deleted_product(self):
+        # N = 118, the n = 10^4 instance's grid: float32 sums stay exact
+        par = feasible_params(10_000)
+        gr, gb = sample_base_graphs(par, 0)
+        g1 = conormal_product(gr, gb)
+        assert g1.triangle_certificate() > 0
+        assert apply_deletion_rule(g1, gr, gb).triangle_certificate() == 0
+
+
 class TestInjection:
     def test_uniform_single_cell(self):
         par = explicit_params(n=1, N=3, p=0.5, k=1)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import alpha_bruteforce, bitmask_rows_loop, greedy_min_degree_heap
+from oracles import (alpha_bruteforce, bitmask_rows_loop,
+                     greedy_min_degree_heap, swap_improve_loop)
 from trioverlay import independence
 from trioverlay.construction import build, child_rng
 from trioverlay.graphview import SimpleGraphView, count_triangles
 from trioverlay.independence import (_bitmask_rows, _greedy_min_degree,
-                                     independence_exact, independence_greedy,
-                                     is_independent_set)
+                                     _swap_improve, independence_exact,
+                                     independence_greedy, is_independent_set)
 from trioverlay.params import explicit_params, feasible_params
 
 
@@ -100,7 +101,7 @@ class TestGreedy:
         # same chosen list, and the same draws consumed
         ours, heap = child_rng(seed, 63), child_rng(seed, 63)
         assert _greedy_min_degree(g, ours) == greedy_min_degree_heap(g, heap)
-        assert ours.random() == heap.random()
+        assert ours.bit_generator.state == heap.bit_generator.state
 
     def test_min_degree_matches_heap(self):
         rng = np.random.default_rng(27)
@@ -120,6 +121,28 @@ class TestGreedy:
             self.assert_same_as_heap(SimpleGraphView.from_edges(n, []), n)
         self.assert_same_as_heap(SimpleGraphView.from_edges(2, [(0, 1)]), 0)
 
+    def test_min_degree_matches_heap_through_degree_zero_stretches(self):
+        # picking a star's leaf removes its centre and leaves the other
+        # leaves at degree 0, between isolated vertices and a sparse rest:
+        # the run alternates positive-degree picks and degree-0 batches
+        rng = np.random.default_rng(28)
+        for trial in range(40):
+            sizes = rng.integers(1, 30, size=int(rng.integers(1, 12)))
+            us, vs, top = [], [], 0
+            for k in sizes.tolist():
+                us += [top] * k
+                vs += range(top + 1, top + k + 1)
+                top += k + 1
+            rest = int(rng.integers(0, 80))
+            ru, rv = rng.integers(rest, size=(2, rest)) + top if rest else ([], [])
+            pairs = {(min(a, b), max(a, b)) for a, b in zip(ru, rv) if a != b}
+            pairs |= set(zip(us, vs))
+            n = top + rest + int(rng.integers(0, 40))
+            perm = rng.permutation(n)
+            e = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+            g = SimpleGraphView.from_edge_arrays(n, perm[e[:, 0]], perm[e[:, 1]])
+            self.assert_same_as_heap(g, trial)
+
     def test_min_degree_matches_heap_on_instance(self):
         g = build(feasible_params(2000), 0).graph
         self.assert_same_as_heap(g, 1)
@@ -127,6 +150,57 @@ class TestGreedy:
     def test_empty_graph(self):
         g = SimpleGraphView.from_edges(5, [])
         assert independence_greedy(g, restarts=1, seed=0).value == 5
+
+
+def sparse_random_graph(rng, n, m):
+    """About m uniform pairs, without the n^2 pair index of random_graph."""
+    us, vs = rng.integers(n, size=(2, m))
+    keys = np.unique(np.minimum(us, vs) * n + np.maximum(us, vs))
+    keys = keys[keys // n != keys % n]
+    return SimpleGraphView.from_edge_arrays(n, keys // n, keys % n)
+
+
+class TestSwapImprove:
+    """The array swaps against the set-and-dict loop they replace."""
+
+    @staticmethod
+    def assert_same_as_loop(g, chosen):
+        assert _swap_improve(g, chosen) == swap_improve_loop(g, chosen)
+
+    def test_matches_loop_on_small_graphs(self):
+        rng = np.random.default_rng(29)
+        for trial in range(200):
+            n = int(rng.integers(1, 70))
+            g = random_graph(rng, n, float(rng.random()) ** 2)
+            greedy = _greedy_min_degree(g, child_rng(trial, 63))
+            # greedy's set is maximal; a thinned one leaves room to add and
+            # to swap, and its order sets the set's iteration order
+            thinned = [v for v in greedy if rng.random() < 0.6]
+            for chosen in (greedy, thinned, rng.permutation(thinned).tolist()):
+                self.assert_same_as_loop(g, chosen)
+
+    def test_matches_loop_where_set_order_is_not_ascending(self):
+        # sets of small ints iterate in ascending order until the values
+        # outgrow the hash table: here the owners' visiting order is not
+        rng = np.random.default_rng(30)
+        for trial in range(4):
+            n = int(rng.integers(5000, 7000))
+            g = sparse_random_graph(rng, n, n * int(rng.integers(15, 40)))
+            greedy = _greedy_min_degree(g, child_rng(trial, 63))
+            thinned = [v for v in greedy if rng.random() < 0.7]
+            assert list(set(greedy)) != sorted(greedy)
+            assert list(set(thinned)) != sorted(thinned)
+            self.assert_same_as_loop(g, greedy)
+            got = _swap_improve(g, thinned)
+            assert got == swap_improve_loop(g, thinned)
+            assert len(got) > len(thinned)
+
+    def test_matches_loop_on_instance(self):
+        g = build(feasible_params(2000), 0).graph
+        rng = np.random.default_rng(31)
+        greedy = _greedy_min_degree(g, child_rng(0, 63))
+        self.assert_same_as_loop(g, greedy)
+        self.assert_same_as_loop(g, [v for v in greedy if rng.random() < 0.7])
 
 
 class TestIsIndependent:
