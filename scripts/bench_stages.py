@@ -8,7 +8,11 @@ equals derive_params wherever that is buildable), the file records:
 
 - the machine: nproc, the numpy version and BLAS, the BLAS thread count;
 - end to end: CLI build, verify, alpha --method greedy and diagnose, each in
-  a fresh interpreter, with the sha256 of the built files;
+  a fresh interpreter, with the sha256 of the built files and of the --json
+  stdout of verify, alpha --method greedy and diagnose (run in the work
+  directory on a relative path, so the digests compare across trees);
+- reading: serialize.read_instance on the built file, and
+  construction.rebuild(read_instance(path)), in a fresh interpreter;
 - per stage: the induce (construction._placed_adjacency), the CSR
   (graphview.from_edge_arrays), the check that the CSR's edge array is the
   placed graph (ColoredProductGraph.placed_edges_are), the triangle count
@@ -19,7 +23,7 @@ equals derive_params wherever that is buildable), the file records:
   in process, with the greedy values and the sha256 of the 3-restart
   certificate;
 - triple systems: CLI hyper --explicit and verify on its file at each of
-  HYPER_SHAPES, with the sha256 of the written files.
+  HYPER_SHAPES, with the sha256 of the written files and of verify --json.
 
 Each figure is the median of REPEATS runs.  --src picks the tree whose
 package is timed (default: this checkout's src/), so one script compares
@@ -99,62 +103,92 @@ print(json.dumps({"N": par.N, "m": graph.m, "placed_adjacency": t1 - t0,
                                  hashlib.sha256(cert).hexdigest()}}))
 """
 
+READ = """
+import json, sys
+from time import perf_counter
+from trioverlay.construction import rebuild
+from trioverlay.serialize import read_instance
+t0 = perf_counter()
+read_instance(sys.argv[1])
+t1 = perf_counter()
+rebuild(read_instance(sys.argv[1]))
+t2 = perf_counter()
+print(json.dumps({"read_instance": t1 - t0, "rebuild_read": t2 - t1}))
+"""
 
-def python(env, *args) -> str:
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+
+def python(env, work: Path, *args) -> str:
+    """stdout of a fresh interpreter run in the work directory."""
+    return subprocess.run([sys.executable, *args], env=env, cwd=work,
+                          check=True, capture_output=True, text=True).stdout
 
 
-def timed_cli(env, argv) -> float:
+def timed_cli(env, work: Path, argv) -> float:
     t0 = perf_counter()
-    python(env, "-m", "trioverlay.cli", *argv)
+    python(env, work, "-m", "trioverlay.cli", *argv)
     return perf_counter() - t0
 
 
-def cli_medians(env, argvs: dict) -> dict:
+def cli_medians(env, work: Path, argvs: dict) -> dict:
     """Median wall time of each CLI command line, in order."""
-    return {key: round(statistics.median(timed_cli(env, argv)
+    return {key: round(statistics.median(timed_cli(env, work, argv)
                                          for _ in range(REPEATS)), 4)
             for key, argv in argvs.items()}
 
 
-def digests(path: str) -> dict:
+def stdout_digests(env, work: Path, argvs: dict) -> dict:
+    """sha256 of the --json stdout of each CLI command line."""
+    return {key: hashlib.sha256(python(
+        env, work, "-m", "trioverlay.cli", *argv, "--json").encode()).hexdigest()
+            for key, argv in argvs.items()}
+
+
+def digests(path: Path) -> dict:
     """sha256 of the written file and its sidecar."""
-    return {Path(f).name: hashlib.sha256(Path(f).read_bytes()).hexdigest()
-            for f in (path, path + ".json")}
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in (path, Path(f"{path}.json"))}
+
+
+def medians(runs: list, keys) -> dict:
+    return {key: None if runs[0][key] is None else
+            round(statistics.median(r[key] for r in runs), 4) for key in keys}
 
 
 def bench_size(env, n: int, work: Path) -> dict:
-    path = str(work / f"n{n}.edges")
-    cli = cli_medians(env, {
+    path = f"n{n}.edges"  # relative to work: it appears in the reports
+    cli = cli_medians(env, work, {
         "build": ["build", "--n", str(n), "--clamp", "--seed", "0",
-                  "--out", path],
-        "verify": ["verify", path],
-        "alpha_greedy": ["alpha", path, "--method", "greedy"],
-        "diagnose": ["diagnose", path]})
-    sha = digests(path)
-    runs = [json.loads(python(env, "-c", STAGES, str(n)))
+                  "--out", path]})
+    readers = {"verify": ["verify", path],
+               "alpha_greedy": ["alpha", path, "--method", "greedy"],
+               "diagnose": ["diagnose", path]}
+    cli.update(cli_medians(env, work, readers))
+    runs = [json.loads(python(env, work, "-c", STAGES, str(n)))
             for _ in range(REPEATS)]
-    stages = {key: None if runs[0][key] is None else
-              round(statistics.median(r[key] for r in runs), 4)
-              for key in ("placed_adjacency", "from_edge_arrays",
-                          "placed_edges_are", "count_triangles",
-                          "triangle_certificate", "greedy_1", "greedy_3",
-                          "swap_improve")}
+    stages = medians(runs, ("placed_adjacency", "from_edge_arrays",
+                            "placed_edges_are", "count_triangles",
+                            "triangle_certificate", "greedy_1", "greedy_3",
+                            "swap_improve"))
+    stages.update(medians([json.loads(python(env, work, "-c", READ, path))
+                           for _ in range(REPEATS)],
+                          ("read_instance", "rebuild_read")))
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
-            "stage_s": stages, "greedy": runs[0]["greedy"], "sha256": sha}
+            "stage_s": stages, "greedy": runs[0]["greedy"],
+            "sha256": digests(work / path),
+            "json_stdout_sha256": stdout_digests(env, work, readers)}
 
 
 def bench_hyper(env, shape: tuple, work: Path) -> dict:
     N, n, p, k = shape
-    path = str(work / f"hyper{N}.triples")
-    cli = cli_medians(env, {
+    path = f"hyper{N}.triples"
+    verify = {"verify": ["verify", path]}
+    cli = cli_medians(env, work, {
         "hyper": ["hyper", "--explicit", "--N", str(N), "--n", str(n),
                   "--p", str(p), "--k", str(k), "--seed", "0",
-                  "--out", path],
-        "verify": ["verify", path]})
+                  "--out", path], **verify})
     return {"N": N, "n": n, "p": p, "k": k, "cli_s": cli,
-            "sha256": digests(path)}
+            "sha256": digests(work / path),
+            "json_stdout_sha256": stdout_digests(env, work, verify)}
 
 
 def main() -> None:
@@ -164,7 +198,7 @@ def main() -> None:
     args = ap.parse_args()
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     report = {"label": args.label, "seed": 0, "repeats": REPEATS,
-              **json.loads(python(env, "-c", MACHINE)),
+              **json.loads(python(env, ROOT, "-c", MACHINE)),
               "blas_threads": int(THREADS), "sizes": [], "hyper": []}
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:

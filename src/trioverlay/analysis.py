@@ -217,17 +217,23 @@ def _int_choose2(values: np.ndarray) -> int:
     return int((v * (v - 1) // 2).sum())
 
 
+def _vertex_set(I, n: int) -> np.ndarray:
+    """I as a 1-D int64 array of distinct ids in 0..n-1, else ValueError."""
+    I = np.asarray(I, dtype=np.int64)
+    if I.ndim != 1 or np.unique(I).size != I.size:
+        raise ValueError("I must be a set of distinct vertices")
+    if I.size and (I.min() < 0 or I.max() >= n):
+        raise ValueError("vertex out of range")
+    return I
+
+
 def classify_sets(I, instance: PlacedGraph) -> SetClassification:
     """Classify all 2N neighborhood boxes against the k-set I and count pairs."""
     params = instance.params
     N = params.N
-    I = np.asarray(I, dtype=np.int64)
-    if I.ndim != 1 or np.unique(I).size != I.size:
-        raise ValueError("I must be a set of distinct vertices")
+    I = _vertex_set(I, instance.placement.n)
     if I.size != params.k:
         raise ValueError(f"|I| = {I.size} != k = {params.k}")
-    if I.size and (I.min() < 0 or I.max() >= instance.n):
-        raise ValueError("vertex out of range")
 
     rows = instance.placement.rows[I].astype(np.int64)
     cols = instance.placement.cols[I].astype(np.int64)
@@ -309,7 +315,7 @@ def classify_sets(I, instance: PlacedGraph) -> SetClassification:
 
 def edges_are_open_plus(instance: PlacedGraph, I) -> bool:
     """True iff no edge of the final graph inside I is covered in the + sense."""
-    I = np.asarray(I, dtype=np.int64)
+    I = _vertex_set(I, instance.placement.n)
     rows = instance.placement.rows[I].astype(np.int64)
     cols = instance.placement.cols[I].astype(np.int64)
     red, blue = instance.product.pair_flags(rows[:, None], cols[:, None],

@@ -174,7 +174,7 @@ def _verify_graph(rec, report: dict) -> bool:
 
 
 def _verify_triples(rec, report: dict) -> bool:
-    h = rec.system()
+    h = rec.system
     ok = verify_s4_free(h)
     # the link of v has one edge for each triple through v
     sizes = np.unique(h.triples, return_counts=True)[1]
@@ -188,11 +188,10 @@ def _verify_triples(rec, report: dict) -> bool:
     # the reduced counts `hyper` wrote, against the file's triples and colours
     stats = rec.stats if isinstance(rec.stats, dict) else {}
     if {"reduced_triples", "reduced_red", "reduced_blue"} <= stats.keys():
-        dual = rec.colors.count("D")
         checks["stats_match"] = (
             stats["reduced_triples"] == h.edge_count()
-            and stats["reduced_red"] == rec.colors.count("R") + dual
-            and stats["reduced_blue"] == rec.colors.count("B") + dual)
+            and stats["reduced_red"] == h.count_with(RED)
+            and stats["reduced_blue"] == h.count_with(BLUE))
     report["checks"] = checks
     return all(checks.values())
 

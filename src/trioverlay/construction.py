@@ -24,6 +24,9 @@ condition and a column-pair condition, which is what ColoredProductGraph
 stores: four N x N boolean matrices, read through the one flag rule
 ColoredProductGraph.pair_flags.  This reproduces the definition exactly at
 every scale while keeping pair queries O(1) and slicing vectorized.
+
+build is the only caller of the induce; rebuild assembles a stored record's
+graph with the bases and placement its reader made.
 """
 
 from __future__ import annotations
@@ -470,19 +473,12 @@ def build(params: Params, seed: int) -> PlacedGraph:
 
 
 def rebuild(rec) -> PlacedGraph | None:
-    """Re-derive a stored serialize.InstanceRecord around rec.graph().
+    """Re-derive a stored serialize.InstanceRecord around rec.graph(), or
+    None when rec holds no provenance.
 
     The graph is not induced: product.placed_edges_are(placement, rec.edges)
-    tells whether it is the placed one.  None when rec lacks the params, the
-    placement or a base edge list; ValueError unless it places rec.n."""
-    if (rec.params is None or rec.placement_rows is None
-            or rec.base_red_edges is None or rec.base_blue_edges is None):
+    tells whether it is the placed one.  The reader has already checked the
+    bases and the placement against params and rec.n."""
+    if rec.provenance is None:
         return None
-    N = rec.params.N
-    gr = BaseGraph.from_edges("red", N, rec.base_red_edges)
-    gb = BaseGraph.from_edges("blue", N, rec.base_blue_edges)
-    placement = Placement(N, rec.placement_rows, rec.placement_cols)
-    if placement.n != rec.n:
-        raise ValueError(f"placement holds {placement.n} vertices, "
-                         f"the instance {rec.n}")
-    return _assemble(rec.params, rec.seed, gr, gb, placement, rec.graph())
+    return _assemble(rec.params, rec.seed, *rec.provenance, rec.graph())

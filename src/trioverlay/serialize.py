@@ -12,6 +12,10 @@ and holds the parameter record, placement/base-graph provenance (0-based,
 numpy-native ids), and builder statistics.  ``format="json"`` embeds
 everything, edges included (still 1-based, mirroring the text layout), in
 one deterministic file: keys sorted, newline-terminated.
+
+Reading is where file layouts become program objects, checked once: a
+graph record's provenance is (BaseGraph, BaseGraph, Placement), whole and
+with params or absent, and a triple record holds its TripleSystem.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .construction import BaseGraph, Placement
 from .graphview import SimpleGraphView
-from .hypergraph import TripleSystem, _row_keys
+from .hypergraph import TripleSystem
 from .params import Params
 
 __all__ = ["InstanceRecord", "TripleRecord", "graph_record", "triple_record",
@@ -60,16 +65,18 @@ class InstanceRecord:
     seed: int
     edges: np.ndarray  # (m, 2) int64, 0-based, u < v, lex-sorted
     params: Params | None = None
-    placement_rows: np.ndarray | None = None
-    placement_cols: np.ndarray | None = None
-    base_red_edges: np.ndarray | None = None
-    base_blue_edges: np.ndarray | None = None
+    # (base_red, base_blue, placement), whole or None; read with params only
+    provenance: tuple[BaseGraph, BaseGraph, Placement] | None = None
     stats: dict = field(default_factory=dict)
     kind: str = "graph"
 
     def graph(self) -> SimpleGraphView:
         return SimpleGraphView.from_edge_arrays(
             self.n, self.edges[:, 0], self.edges[:, 1])
+
+
+# the sidecar keys of a graph's provenance: all of them with params, or none
+_PROVENANCE = ("base_red_edges", "base_blue_edges", "placement")
 
 
 # triple colors: the character of flag bits f (1 red, 2 blue, 3 both) is
@@ -84,20 +91,15 @@ _FLAG_OF_COLOR[_COLOR_OF_FLAG[1:]] = (1, 2, 3)
 class TripleRecord:
     """Serializable projection of a triple system."""
 
-    n: int
     seed: int
-    triples: np.ndarray  # (m, 3) int64, 0-based, u < v < w, lex-sorted
-    colors: str    # aligned R/B/D characters
+    system: TripleSystem
     params: Params | None = None
-    system_kind: str = "reduced"
-    cells: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
     kind: str = "triples"
 
-    def system(self) -> TripleSystem:
-        flags = _FLAG_OF_COLOR[np.frombuffer(self.colors.encode(), np.uint8)]
-        return TripleSystem.from_arrays(self.n, self.triples, flags,
-                                        self.system_kind, self.cells)
+    @property
+    def n(self) -> int:
+        return self.system.order
 
 
 def graph_record(placed) -> InstanceRecord:
@@ -107,44 +109,37 @@ def graph_record(placed) -> InstanceRecord:
         seed=placed.seed,
         edges=placed.graph.edge_array(),
         params=placed.params,
-        placement_rows=placed.placement.rows.copy(),
-        placement_cols=placed.placement.cols.copy(),
-        base_red_edges=placed.base_red.edge_array(),
-        base_blue_edges=placed.base_blue.edge_array(),
+        provenance=(placed.base_red, placed.base_blue, placed.placement),
         stats=dict(placed.stats),
     )
 
 
-def triple_record(h, params: Params | None = None, seed: int = 0,
+def triple_record(h: TripleSystem, params: Params | None = None, seed: int = 0,
                   stats: dict | None = None) -> TripleRecord:
-    colors = _COLOR_OF_FLAG[h.flags].tobytes().decode()
-    return TripleRecord(
-        n=h.order, seed=seed, triples=h.triples.copy(), colors=colors, params=params,
-        system_kind=h.kind, cells=None if h.cells is None else h.cells.copy(),
-        stats=dict(stats or {}),
-    )
-
-
-def _sidecar_path(path: str) -> str:
-    return path + ".json"
+    return TripleRecord(seed=seed, system=h, params=params,
+                        stats=dict(stats or {}))
 
 
 def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
     """The key of rec's entries, the entries as one (m, w) int64 array
     (0-based; w = 2 for edges, 3 for triples) and rec's sidecar payload."""
     if rec.kind == "graph":
-        key = "edges"
-        extra = {"placement": None if rec.placement_rows is None else
-                 {"rows": rec.placement_rows, "cols": rec.placement_cols},
-                 "base_red_edges": rec.base_red_edges,
-                 "base_blue_edges": rec.base_blue_edges}
+        key, entries = "edges", rec.edges
+        extra = dict.fromkeys(_PROVENANCE)
+        if rec.provenance is not None:
+            red, blue, placement = rec.provenance
+            extra = {"base_red_edges": red.edge_array(),
+                     "base_blue_edges": blue.edge_array(),
+                     "placement": {"rows": placement.rows,
+                                   "cols": placement.cols}}
     elif rec.kind == "triples":
-        key = "triples"
-        extra = {"system_kind": rec.system_kind, "colors": rec.colors,
-                 "cells": rec.cells}
+        h = rec.system
+        key, entries = "triples", h.triples
+        extra = {"system_kind": h.kind, "cells": h.cells,
+                 "colors": _COLOR_OF_FLAG[h.flags].tobytes().decode()}
     else:
         raise ValueError(f"unknown record kind {rec.kind!r}")
-    entries = np.asarray(getattr(rec, key), dtype=np.int64)
+    entries = np.asarray(entries, dtype=np.int64)
     return key, entries, {
         "kind": rec.kind, "n": rec.n, "m": len(entries), "seed": rec.seed,
         "params": None if rec.params is None else rec.params.to_dict(),
@@ -175,14 +170,10 @@ def write_instance(rec, path: str, fmt: str = "edgelist") -> list[str]:
             chunk = entries[lo:lo + _CHUNK] + 1
             line = " ".join(["%d"] * chunk.shape[1]) + "\n"
             fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
-    side = _sidecar_path(path)
+    side = path + ".json"
     with open(side, "w") as fh:
         fh.write(_dumps(payload))
     return [path, side]
-
-
-def _params_from(obj) -> Params | None:
-    return None if obj is None else Params.from_dict(obj)
 
 
 def _integer(value, name: str) -> int:
@@ -215,71 +206,78 @@ def _entries(raw, width: int, name: str) -> np.ndarray:
     return arr
 
 
-def _edges_array(arr: np.ndarray, n: int) -> np.ndarray:
-    if len(arr) and (arr.min() < 0 or arr.max() >= n):
-        raise ValueError("edge endpoint out of range")
-    if len(arr) and not (arr[:, 0] < arr[:, 1]).all():
-        raise ValueError("edges must satisfy u < v")
-    return arr
+def _provenance(payload: dict, params: Params | None, n: int, source: str):
+    """The (base_red, base_blue, placement) of a graph payload, or None when
+    it holds none of them; ValueError naming source when it holds only some,
+    or holds them without params."""
+    held = [key for key in _PROVENANCE if payload.get(key) is not None]
+    if not held:
+        return None
+    missing = [key for key in ("params", *_PROVENANCE)
+               if payload.get(key) is None]
+    if missing:
+        raise ValueError(f"{source}: partial provenance: holds "
+                         f"{', '.join(held)} without {', '.join(missing)}")
+    N = params.N
+    red, blue = (BaseGraph.from_edges(side, N, _entries(payload[key], 2, key))
+                 for side, key in (("red", "base_red_edges"),
+                                   ("blue", "base_blue_edges")))
+    placed = payload["placement"]
+    placement = Placement(N, _int_array(placed["rows"], "placement rows"),
+                          _int_array(placed["cols"], "placement cols"))
+    if placement.n != n:
+        raise ValueError(f"placement holds {placement.n} vertices, "
+                         f"the instance {n}")
+    return red, blue, placement
 
 
-def _from_payload(payload: dict, body: np.ndarray | None = None):
-    """Record from a parsed payload; body holds the 1-based entry lines of
-    an edge-list file, else the entries come from the payload itself."""
+def _from_payload(payload: dict, source: str, body: np.ndarray | None = None):
+    """Record from the parsed payload of file source; body holds the 1-based
+    entry lines of an edge-list file, else the entries come from the payload
+    itself."""
     kind = payload.get("kind", "graph")
     n = _integer(payload["n"], "n")
     seed = _integer(payload.get("seed", 0), "seed")
-    params = _params_from(payload.get("params"))
+    params = payload.get("params")
+    params = None if params is None else Params.from_dict(params)
     stats = payload.get("stats") or {}
     if kind == "graph":
         raw = payload.get("edges", []) if body is None else body
-        edges = _edges_array(_entries(raw, 2, "edges") - 1, n)
-        placement = payload.get("placement")
-        rows = cols = None
-        if placement is not None:
-            rows = _int_array(placement["rows"], "placement rows")
-            cols = _int_array(placement["cols"], "placement cols")
-        red, blue = (None if payload.get(key) is None else
-                     _entries(payload[key], 2, key)
-                     for key in ("base_red_edges", "base_blue_edges"))
+        edges = _entries(raw, 2, "edges") - 1
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        if len(edges) and not (edges[:, 0] < edges[:, 1]).all():
+            raise ValueError("edges must satisfy u < v")
         return InstanceRecord(
             n=n, seed=seed, edges=edges, params=params,
-            placement_rows=rows, placement_cols=cols,
-            base_red_edges=red, base_blue_edges=blue,
-            stats=stats)
+            provenance=_provenance(payload, params, n, source), stats=stats)
     if kind == "triples":
         raw = payload.get("triples", []) if body is None else body
         entries = _entries(raw, 3, "triples")
-        arr = np.sort(entries, axis=1) - 1
-        bad = (arr[:, 0] < 0) | (arr[:, 2] >= n) | (arr[:, 0] == arr[:, 1]) \
-            | (arr[:, 1] == arr[:, 2])
+        a, b, c = entries.T
+        bad = (entries.min(axis=1) < 1) | (entries.max(axis=1) > n) \
+            | (a == b) | (b == c) | (a == c)
         if bad.any():  # named as the file writes it, 1-based
             line = tuple(entries[bad.argmax()].tolist())
             raise ValueError(f"bad triple {line}")
-        key = _row_keys(arr, n)[0]
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        if (key[1:] == key[:-1]).any():
-            raise ValueError("duplicate triple in triple list")
-        cells = payload.get("cells")
         colors = payload.get("colors", "")
         if not isinstance(colors, str):
             raise TypeError(
                 f"colors must be a string, got {type(colors).__name__}")
-        if len(colors) != len(arr):
+        if len(colors) != len(entries):
             raise ValueError("color string does not match triple count")
         odd = colors.lstrip("RBD")  # from the first other character on
         if odd:
             raise TypeError(
                 f"colors must hold R, B and D only, got {odd[0]!r}")
-        # lex-sorted, whatever the file's line order; colours follow
-        arr = arr[order]
-        colors = np.frombuffer(colors.encode(), "S1")[order].tobytes().decode()
-        return TripleRecord(
-            n=n, seed=seed, triples=arr, colors=colors, params=params,
-            system_kind=payload.get("system_kind", "reduced"),
-            cells=None if cells is None else _int_array(cells, "cells"),
-            stats=stats)
+        flags = _FLAG_OF_COLOR[np.frombuffer(colors.encode(), np.uint8)]
+        cells = payload.get("cells")
+        h = TripleSystem.from_arrays(
+            n, entries - 1, flags, payload.get("system_kind", "reduced"),
+            None if cells is None else _int_array(cells, "cells"))
+        if h.edge_count() != len(entries):  # from_arrays merged a repeated line
+            raise ValueError("duplicate triple in triple list")
+        return TripleRecord(seed=seed, system=h, params=params, stats=stats)
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -332,7 +330,7 @@ def read_instance(path: str):
         if payload.get("format") != "json":
             raise ValueError("JSON instance file missing format marker")
         with _record_in(path):
-            return _from_payload(payload)
+            return _from_payload(payload, path)
 
     widths = _line_widths(data, path)
     lines = np.flatnonzero(widths)  # the non-blank lines, 0-based
@@ -357,7 +355,7 @@ def read_instance(path: str):
     body = values[3:].reshape(m, width)
     kind = "triples" if width == 3 else "graph"
 
-    side = _sidecar_path(path)
+    side = path + ".json"
     if os.path.exists(side):
         with open(side) as fh:
             payload = json.loads(fh.read())
@@ -366,10 +364,10 @@ def read_instance(path: str):
                     or _integer(payload.get("m", m), "m") != m
                     or (m and payload.get("kind", "graph") != kind)):
                 raise ValueError("sidecar disagrees with edge-file header")
-            return _from_payload(payload, body)
+            return _from_payload(payload, side, body)
     payload = {"kind": kind, "n": n, "m": m, "seed": seed,
                "colors": "D" * m if kind == "triples" else None}
-    return _from_payload(payload, body)
+    return _from_payload(payload, path, body)
 
 
 def instances_equal(a, b) -> bool:

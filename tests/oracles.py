@@ -11,7 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -337,22 +337,45 @@ def alpha_bruteforce(n: int, edges) -> int:
 # ------------------------------------------------------------ star scan
 
 
+@lru_cache(maxsize=None)
+def _quads(n: int) -> np.ndarray:
+    """Every 4-subset of range(n) as one (C(n, 4), 4) array, ascending."""
+    count = math.comb(n, 4)
+    quads = np.fromiter(chain.from_iterable(combinations(range(n), 4)),
+                        dtype=np.int64, count=4 * count).reshape(count, 4)
+    quads.flags.writeable = False  # one cached array for every caller
+    return quads
+
+
+def _star_table(h) -> np.ndarray:
+    """[q, i] is True iff the 4-subset _quads(n)[q] carries the star centred
+    at its i-th vertex: all three triples through that vertex present."""
+    n = h.order
+    present = np.zeros((n, n, n), dtype=bool)  # symmetric in its three axes
+    for axes in permutations(h.triples.T):
+        present[axes] = True
+    quads = _quads(n)
+    table = np.empty((len(quads), 4), dtype=bool)
+    for i in range(4):
+        c = quads[:, i]
+        x, y, z = np.delete(quads, i, axis=1).T
+        table[:, i] = present[c, x, y] & present[c, x, z] & present[c, y, z]
+    return table
+
+
 def star_free_bruteforce(h) -> bool:
     """Exhaustive 4-subset scan for the forbidden 3-uniform star."""
-    n = h.order
-    present = set(map(tuple, h.triples.tolist()))
-    for quad in combinations(range(n), 4):
-        for center in quad:
-            rest = [x for x in quad if x != center]
-            star = [tuple(sorted((center, rest[0], rest[1]))),
-                    tuple(sorted((center, rest[0], rest[2]))),
-                    tuple(sorted((center, rest[1], rest[2])))]
-            if all(t in present for t in star):
-                return False
-    return True
+    return not _star_table(h).any()
 
 
 def count_stars_bruteforce(h) -> int:
+    """Stars over all 4-subsets and centres (the scan of star_free_bruteforce)."""
+    return int(np.count_nonzero(_star_table(h)))
+
+
+def count_stars_loop(h) -> int:
+    """count_stars_bruteforce as a Python loop over the same subsets and
+    centres: the reference for the array scan."""
     n = h.order
     present = set(map(tuple, h.triples.tolist()))
     found = 0

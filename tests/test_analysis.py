@@ -295,6 +295,18 @@ class TestEdgesOpenPlus:
         inst = _instance(N=5, p=0.0, n=20, k=5, seed=0)
         assert edges_are_open_plus(inst, np.arange(5))
 
+    @pytest.mark.parametrize("I", [[-1, 0, 1], [0, 1, 20], [0, 1, 1],
+                                   [[0, 1], [2, 3]]],
+                             ids=["negative", "n", "repeated", "2-d"])
+    def test_input_validation(self, I):
+        # -1 once read vertex n - 1, and a repeated id was taken as given;
+        # classify_sets rejects the same sets (with |I| = k)
+        inst = _instance(N=5, p=0.4, n=20, k=3, seed=0)
+        with pytest.raises(ValueError):
+            edges_are_open_plus(inst, I)
+        with pytest.raises(ValueError):
+            classify_sets(I, inst)
+
 
 # ---------------------------------------------------------------------------
 # concentration

@@ -15,6 +15,7 @@ import trioverlay
 import trioverlay.cli as cli
 import trioverlay.construction as construction
 from trioverlay.cli import SWEEP_SCHEMA, main
+from trioverlay.hypergraph import TripleSystem
 from trioverlay.serialize import read_instance, write_instance
 
 
@@ -59,7 +60,7 @@ class TestBuild:
         path = build_small(tmp_path, name="inst.json", fmt="json")
         assert not os.path.exists(path + ".json")
         rec = read_instance(path)
-        assert rec.params is not None and rec.placement_rows is not None
+        assert rec.params is not None and rec.provenance is not None
         assert run(["verify", path]) == 0
 
     def test_derived_needs_clamp_at_small_n(self, tmp_path):
@@ -230,6 +231,20 @@ class TestHyper:
         want = tuple(int(x) for x in line.split())
         assert capsys.readouterr().err == f"error: bad triple {want}\n"
 
+    def test_verify_canonicalizes_once(self, tmp_path, monkeypatch):
+        # the reader builds the system; verify checks that same object
+        path = self.hyper_file(tmp_path)
+        calls = []
+        real = TripleSystem.from_arrays.__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(TripleSystem, "from_arrays", classmethod(counted))
+        assert run(["verify", path]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("fmt", ["edgelist", "json"])
     def test_repeated_triple(self, tmp_path, capsys, fmt):
         # two distinct triples on three lines, as a graph file with a
@@ -328,7 +343,7 @@ class TestDamagedSidecar:
         assert err.startswith("error: ") and "Traceback" not in err
         return err
 
-    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
     @pytest.mark.parametrize("edge", [[0, 6], [-6, 2]],
                              ids=["beyond-N", "negative"])
     def test_base_edge_out_of_range(self, tmp_path, capsys, command, edge):
@@ -407,7 +422,7 @@ class TestDamagedSidecar:
             err = self.assert_error_exit([command, path], capsys)
             assert path + ": " in err and "edges must hold integers" in err
 
-    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
     def test_placement_beyond_int32(self, tmp_path, capsys, command):
         # narrowed to int32 first, rows[0] + 2^32 would read as rows[0]
         def damage(s):
@@ -416,7 +431,28 @@ class TestDamagedSidecar:
         err = self.assert_error_exit([command, path], capsys)
         assert "cell out of range" in err
 
-    @pytest.mark.parametrize("command", ["verify", "diagnose"])
+    @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
+    @pytest.mark.parametrize("fmt", ["edgelist", "json"])
+    @pytest.mark.parametrize("drop", ["base_red_edges", "base_blue_edges",
+                                      "placement", "params"])
+    def test_partial_provenance(self, tmp_path, capsys, command, fmt, drop):
+        # provenance is the two base edge lists and the placement, read with
+        # params; a file holding only part of it once verified as a file
+        # without any (exit 0), its placement never checked
+        if fmt == "json":
+            path = source = build_small(tmp_path, name="inst.json", fmt="json")
+        else:
+            path = build_small(tmp_path)
+            source = path + ".json"
+        payload = json.loads(open(source).read())
+        payload[drop] = None
+        with open(source, "w") as fh:
+            fh.write(json.dumps(payload))
+        err = self.assert_error_exit([command, path], capsys)
+        assert err.startswith(f"error: {source}: partial provenance: ")
+        assert f"without {drop}" in err
+
+    @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
     def test_short_placement(self, tmp_path, capsys, command):
         # 23 placed vertices cannot carry the file's 24-vertex graph
         path = self.damaged(tmp_path, lambda s: (s["placement"]["rows"].pop(),

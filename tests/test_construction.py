@@ -16,6 +16,7 @@ from trioverlay.construction import (STREAM_BLUE, STREAM_RED, BaseGraph,
                                      sample_base_graphs, sample_injection)
 from trioverlay.graphview import count_triangles
 from trioverlay.params import derive_params, explicit_params, feasible_params
+from trioverlay.serialize import graph_record, read_instance, write_instance
 
 
 def tiny_params(N, p, rng=None, n=None, k=None):
@@ -556,6 +557,25 @@ class TestBuild:
             dens.append(placed.graph.m / (par.n * (par.n - 1) / 2))
         mean = float(np.mean(dens))
         assert 1.5 * par.p <= mean <= 2.5 * par.p
+
+    def test_rebuild_uses_the_records_objects(self, tmp_path, monkeypatch):
+        # the reader makes the bases and the placement once; rebuild only
+        # assembles around them, and a record without them rebuilds to None
+        placed = build(explicit_params(n=20, N=5, p=0.6, k=5), 4)
+        path = str(tmp_path / "i.edges")
+        write_instance(graph_record(placed), path)
+        rec = read_instance(path)
+        made = []
+        for cls in (BaseGraph, Placement):
+            monkeypatch.setattr(cls, "__post_init__", made.append)
+        again = construction.rebuild(rec)
+        assert made == []
+        held = (again.base_red, again.base_blue, again.placement)
+        assert all(x is y for x, y in zip(held, rec.provenance))
+        assert again.stats == placed.stats
+        assert again.graph.edge_array().tolist() == rec.edges.tolist()
+        rec.provenance = None
+        assert construction.rebuild(rec) is None
 
 
 def random_builds(count, seed):

@@ -17,9 +17,9 @@ from trioverlay.hypergraph import (BLUE, RED, TripleSystem, extract_link,
 from trioverlay.params import Params, explicit_params
 
 from oracles import (LinkIndex, LoopTriples, count_stars_bruteforce,
-                     hyper_product_loop, inject_hyper_loop, s4_reduction_loop,
-                     sample_base_3graphs_loop, star_free_bruteforce,
-                     triple_dict)
+                     count_stars_loop, hyper_product_loop, inject_hyper_loop,
+                     s4_reduction_loop, sample_base_3graphs_loop,
+                     star_free_bruteforce, triple_dict)
 
 
 def _pipeline(N, p, seed):
@@ -284,6 +284,32 @@ class TestLinkIndex:
         assert idx.link_triangles(4) == []
         edges0 = idx.link_edges(0)
         assert edges0 == {(1, 2), (1, 3), (2, 3), (4, 5)}
+
+
+class TestStarOracle:
+    """The array 4-subset scan of the oracle module against its loop."""
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_matches_loop_on_pipelines(self, N):
+        for p in (0.3, 0.6, 1.0):
+            for seed in range(2):
+                h2 = _pipeline(N, p, seed)[-1]
+                for h in (h2, s4_reduction(h2)):
+                    count = count_stars_loop(h)
+                    assert count_stars_bruteforce(h) == count
+                    assert star_free_bruteforce(h) == (count == 0)
+
+    def test_one_star(self):
+        # three triples through c on {c, u, w, z}, for every 4-subset of
+        # range(6) and centre in it, plus a triple that makes no second star
+        for quad in combinations(range(6), 4):
+            other = [x for x in range(6) if x not in quad]
+            for c in quad:
+                u, w, z = (x for x in quad if x != c)
+                h = _system(6, [((c, u, w), RED), ((c, u, z), BLUE),
+                                ((c, w, z), RED), ((u, *other), BLUE)])
+                assert count_stars_loop(h) == count_stars_bruteforce(h) == 1
+                assert not star_free_bruteforce(h)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from trioverlay.construction import build
 from trioverlay.hypergraph import BLUE, RED, TripleSystem
 from trioverlay.params import explicit_params
 from trioverlay.serialize import (InstanceRecord, TripleRecord, _line_widths,
-                                  graph_record, instances_equal,
-                                  read_instance, triple_record,
-                                  write_instance)
+                                  _record_payload, graph_record,
+                                  instances_equal, read_instance,
+                                  triple_record, write_instance)
 
 
 def _placed(seed=0):
@@ -68,8 +68,11 @@ class TestGraphRoundTrip:
         side = json.loads(open(path + ".json").read())
         assert side["kind"] == "graph"
         assert side["params"]["N"] == 5
-        assert side["placement"]["rows"] == rec.placement_rows.tolist()
-        assert side["placement"]["cols"] == rec.placement_cols.tolist()
+        red, blue, placement = rec.provenance
+        assert side["placement"]["rows"] == placement.rows.tolist()
+        assert side["placement"]["cols"] == placement.cols.tolist()
+        assert side["base_red_edges"] == red.edge_array().tolist()
+        assert side["base_blue_edges"] == blue.edge_array().tolist()
         assert side["stats"] == rec.stats
 
     def test_rewrite_bit_identical(self, tmp_path):
@@ -104,7 +107,7 @@ class TestGraphRoundTrip:
         write_instance(rec, path)
         back = read_instance(path)
         assert instances_equal(rec, back)
-        assert back.params is None and back.placement_rows is None
+        assert back.params is None and back.provenance is None
 
     def test_graph_without_sidecar(self, tmp_path):
         rec = graph_record(_placed(seed=5))
@@ -138,24 +141,37 @@ class TestTripleRoundTrip:
             write_instance(rec, path, fmt=fmt)
             back = read_instance(path)
             assert instances_equal(rec, back)
-            got = back.system()
+            got = back.system
             assert np.array_equal(got.triples, h.triples)
             assert np.array_equal(got.flags, h.flags)
 
     def test_colors_align(self):
         h = TripleSystem.from_arrays(5, [(4, 2, 1), (0, 1, 2), (3, 1, 0)],
                                      [RED | BLUE, RED, BLUE])
-        rec = triple_record(h)
-        assert np.array_equal(rec.triples, [(0, 1, 2), (0, 1, 3), (1, 2, 4)])
-        assert rec.triples.dtype == np.int64
-        assert rec.colors == "RBD"
-        assert np.array_equal(rec.system().flags, h.flags)
+        key, entries, payload = _record_payload(triple_record(h))
+        assert key == "triples"
+        assert np.array_equal(entries, [(0, 1, 2), (0, 1, 3), (1, 2, 4)])
+        assert entries.dtype == np.int64
+        assert payload["colors"] == "RBD"
 
-    def test_record_owns_its_triples(self):
-        h = TripleSystem.from_arrays(5, [(0, 1, 2), (1, 2, 4)], [RED, BLUE])
-        rec = triple_record(h)
-        rec.triples[0] = (2, 3, 4)
-        assert np.array_equal(h.triples, [(0, 1, 2), (1, 2, 4)])
+    def test_record_holds_its_system(self, tmp_path):
+        # the record holds the system itself; a read one, in either format,
+        # holds the canonical form from_arrays gives the file's triples and
+        # colours
+        par, h = _reduced_system(seed=3)
+        rec = triple_record(h, params=par, seed=3)
+        assert rec.system is h and rec.n == h.order
+        want = TripleSystem.from_arrays(h.order, h.triples[::-1],
+                                        h.flags[::-1], h.kind, h.cells)
+        for fmt in ("edgelist", "json"):
+            path = str(tmp_path / f"t.{fmt}")
+            write_instance(rec, path, fmt=fmt)
+            got = read_instance(path).system
+            for name in ("order", "kind"):
+                assert getattr(got, name) == getattr(want, name)
+            for name in ("triples", "flags", "cells"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
 
     def test_sidecar_less_fallback(self, tmp_path):
         par, h = _reduced_system(seed=2)
@@ -165,8 +181,9 @@ class TestTripleRoundTrip:
         os.remove(path + ".json")
         back = read_instance(path)
         assert back.kind == "triples"
-        assert np.array_equal(back.triples, rec.triples)
-        assert back.colors == "D" * len(rec.triples)  # flags were lost
+        assert np.array_equal(back.system.triples, h.triples)
+        # flags were lost: every triple reads as dual ("D")
+        assert (back.system.flags == RED | BLUE).all()
         assert back.params is None
 
     @pytest.mark.parametrize("sidecar", [False, True])
@@ -179,10 +196,14 @@ class TestTripleRoundTrip:
                 fh.write(json.dumps({"kind": "triples", "n": 5, "m": 2,
                                      "seed": 0, "colors": "RB"}))
         rec = read_instance(path)
-        assert rec.triples.tolist() == [[0, 1, 2], [1, 2, 3]]
+        assert rec.system.triples.tolist() == [[0, 1, 2], [1, 2, 3]]
         # each colour stays with its triple
-        assert rec.colors == ("BR" if sidecar else "DD")
-        assert instances_equal(rec, triple_record(rec.system()))
+        flags = [BLUE, RED] if sidecar else [RED | BLUE] * 2
+        assert rec.system.flags.tolist() == flags
+        # the record the same triples and colours give in sorted order
+        h = TripleSystem.from_arrays(5, [(0, 1, 2), (1, 2, 3)], flags,
+                                     "reduced")
+        assert instances_equal(rec, triple_record(h))
 
     def test_text_lines_sorted(self, tmp_path):
         par, h = _reduced_system(seed=1)
@@ -392,7 +413,7 @@ class TestSplitOracle:
             n_ref, m_ref, seed_ref, body_ref = edge_list_by_split(str(path))
             rec = read_instance(str(path))
             # with no entry line the file cannot tell triples from edges
-            entries = rec.edges if rec.kind == "graph" else np.array(rec.triples)
+            entries = rec.edges if rec.kind == "graph" else rec.system.triples
             assert (rec.n, len(entries), rec.seed) == (n_ref, m_ref, seed_ref), \
                 repr(text)
             # triples come back lex-sorted, whatever the line order
@@ -417,14 +438,13 @@ class TestInstancesEqual:
         c.stats["edges_final"] += 1
         assert not instances_equal(a, c)
         d = copy.deepcopy(a)
-        d.placement_rows = None
-        d.placement_cols = None
+        d.provenance = None
         assert not instances_equal(a, d)
 
     def test_kind_mismatch(self):
         g = InstanceRecord(n=4, seed=0,
                            edges=np.zeros((0, 2), dtype=np.int64))
-        t = TripleRecord(n=4, seed=0, triples=[], colors="")
+        t = TripleRecord(seed=0, system=TripleSystem.from_arrays(4, [], []))
         assert not instances_equal(g, t)
 
     def test_nan_stats(self):
