@@ -22,6 +22,9 @@ equals derive_params wherever that is buildable), the file records:
   its swap step alone (independence._swap_improve on one min-degree pass),
   in process, with the greedy values and the sha256 of the 3-restart
   certificate;
+- k-set classification: analysis.classify_sets on diagnose's default 15
+  sets (sample_k_sets(..., n_random=5, seed=0)), in process, with the
+  sha256 of their to_dict() values;
 - triple systems: CLI hyper --explicit and verify on its file at each of
   HYPER_SHAPES, with the sha256 of the written files and of verify --json.
 
@@ -62,7 +65,7 @@ print(json.dumps({"nproc": os.cpu_count(), "numpy": np.__version__,
 STAGES = """
 import hashlib, json, sys
 from time import perf_counter
-from trioverlay import construction as c, independence as ind
+from trioverlay import analysis as an, construction as c, independence as ind
 from trioverlay.graphview import SimpleGraphView, count_triangles
 from trioverlay.params import feasible_params
 par = feasible_params(int(sys.argv[1]))
@@ -92,12 +95,19 @@ certificate = None
 if hasattr(g2, "triangle_certificate"):
     assert g2.triangle_certificate() == 0
     certificate = perf_counter() - t9
+placed = c.PlacedGraph(par, 0, gr, gb, g2, placement, graph, {})
+sets = an.sample_k_sets(placed, n_random=5, seed=0)
+t10 = perf_counter()
+classified = [an.classify_sets(I, placed).to_dict() for _, I in sets]
+t11 = perf_counter()
 cert = json.dumps(greedy3.certificate).encode()
 print(json.dumps({"N": par.N, "m": graph.m, "placed_adjacency": t1 - t0,
                   "from_edge_arrays": t2 - t1, "placed_edges_are": t4 - t3,
                   "count_triangles": t5 - t4, "triangle_certificate": certificate,
                   "greedy_1": t6 - t5, "greedy_3": t7 - t6,
-                  "swap_improve": t9 - t8,
+                  "swap_improve": t9 - t8, "classify_sets": t11 - t10,
+                  "classify_sha256": hashlib.sha256(
+                      json.dumps(classified).encode()).hexdigest(),
                   "greedy": {"value_1": greedy1.value, "value_3": greedy3.value,
                              "certificate_3_sha256":
                                  hashlib.sha256(cert).hexdigest()}}))
@@ -168,12 +178,13 @@ def bench_size(env, n: int, work: Path) -> dict:
     stages = medians(runs, ("placed_adjacency", "from_edge_arrays",
                             "placed_edges_are", "count_triangles",
                             "triangle_certificate", "greedy_1", "greedy_3",
-                            "swap_improve"))
+                            "swap_improve", "classify_sets"))
     stages.update(medians([json.loads(python(env, work, "-c", READ, path))
                            for _ in range(REPEATS)],
                           ("read_instance", "rebuild_read")))
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
             "stage_s": stages, "greedy": runs[0]["greedy"],
+            "classify_sha256": runs[0]["classify_sha256"],
             "sha256": digests(work / path),
             "json_stdout_sha256": stdout_digests(env, work, readers)}
 

@@ -12,7 +12,7 @@ Three families:
 * classify_sets stratifies, for a k-set I of placed vertices, the trace
   sizes |X_v(I)| of all 2N neighborhood boxes into huge/large/medium/small
   classes, and counts closed and open pairs of I (pairs covered by some box,
-  in both the full and the upper-neighborhood sense).
+  in both the full and the upper-neighborhood sense), each through _covered.
 
 * f_function is the closed-pair budget used to rank how lopsided an
   independent candidate set can be before it is impossible.
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import (STREAM_K_SETS, PlacedGraph, child_rng,
-                           common_neighbor_matrix,
-                           common_upper_neighbor_matrix, count_matmul)
+                           common_neighbor_matrix, count_matmul,
+                           upper_neighborhoods)
 
 __all__ = [
     "BoundCheck", "ConcentrationReport", "concentration_report",
@@ -108,9 +108,8 @@ def concentration_report(gr, gb, placement, params, eps2: float | None = None,
     eps2 = params.eps2 if eps2 is None else eps2
     C = params.C if C is None else C
     n, N = params.n, params.N
-    log2n = math.log(n) ** 2
-    log3n = math.log(n) ** 3
-    pn, pN = params.p * n, params.p * N
+    log2n, log3n = params.log2n, math.log(n) ** 3
+    pn, pN = params.pn, params.pN
 
     occ = np.zeros((N, N), dtype=np.float32)
     occ[placement.rows, placement.cols] = 1
@@ -217,33 +216,40 @@ def _int_choose2(values: np.ndarray) -> int:
     return int((v * (v - 1) // 2).sum())
 
 
-def _vertex_set(I, n: int) -> np.ndarray:
-    """I as a 1-D int64 array of distinct ids in 0..n-1, else ValueError."""
+def _cells(I, placement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I as a 1-D int64 array of distinct ids in 0..n-1, else ValueError,
+    with the rows and the columns of its cells."""
     I = np.asarray(I, dtype=np.int64)
     if I.ndim != 1 or np.unique(I).size != I.size:
         raise ValueError("I must be a set of distinct vertices")
-    if I.size and (I.min() < 0 or I.max() >= n):
+    if I.size and (I.min() < 0 or I.max() >= placement.n):
         raise ValueError("vertex out of range")
-    return I
+    return (I, placement.rows[I].astype(np.int64),
+            placement.cols[I].astype(np.int64))
+
+
+def _covered(boxes_r, boxes_b, rows, cols) -> np.ndarray:
+    """k x k, symmetric: [s, t] True iff the cells (rows[s], cols[s]) and
+    (rows[t], cols[t]) of I lie in a common row box (a row of boxes_r) or a
+    common column box (a row of boxes_b)."""
+    return (common_neighbor_matrix(boxes_r)[rows][:, rows]
+            | common_neighbor_matrix(boxes_b)[cols][:, cols])
 
 
 def classify_sets(I, instance: PlacedGraph) -> SetClassification:
     """Classify all 2N neighborhood boxes against the k-set I and count pairs."""
     params = instance.params
     N = params.N
-    I = _vertex_set(I, instance.placement.n)
+    I, rows, cols = _cells(I, instance.placement)
     if I.size != params.k:
         raise ValueError(f"|I| = {I.size} != k = {params.k}")
 
-    rows = instance.placement.rows[I].astype(np.int64)
-    cols = instance.placement.cols[I].astype(np.int64)
     rowcnt = np.bincount(rows, minlength=N).astype(np.int64)
     colcnt = np.bincount(cols, minlength=N).astype(np.int64)
 
     ar = instance.base_red.adj
     ab = instance.base_blue.adj
-    upper_r = ar & (np.arange(N)[:, None] < np.arange(N)[None, :])  # [v, u]: u in N+(v)
-    upper_b = ab & (np.arange(N)[:, None] < np.arange(N)[None, :])
+    upper_r, upper_b = upper_neighborhoods(ar), upper_neighborhoods(ab)
 
     sizes = np.concatenate([ar @ rowcnt, ab @ colcnt])
     sizes_plus = np.concatenate([upper_r @ rowcnt, upper_b @ colcnt])
@@ -253,37 +259,21 @@ def classify_sets(I, instance: PlacedGraph) -> SetClassification:
                      for idx, nm in enumerate(CLASS_NAMES)}
     sum_pairs = {nm: _int_choose2(sizes[mem]) for nm, mem in class_members.items()}
 
-    # pair conditions over I: a pair is covered by a box of v iff both its
-    # cells land in the box; factorizes through the common-neighbor matrices
-    com_r = common_neighbor_matrix(ar)
-    com_b = common_neighbor_matrix(ab)
-    comp_r = common_upper_neighbor_matrix(ar)
-    comp_b = common_upper_neighbor_matrix(ab)
-
-    closed_mat = com_r[np.ix_(rows, rows)] | com_b[np.ix_(cols, cols)]
-    closedp_mat = comp_r[np.ix_(rows, rows)] | comp_b[np.ix_(cols, cols)]
-    iu = np.triu_indices(I.size, 1)
-    closed = int(closed_mat[iu].sum())
-    closed_plus = int(closedp_mat[iu].sum())
-    total = I.size * (I.size - 1) // 2
-
-    # per-class unions of covered pairs
+    # pairs of I covered by all boxes, by the upper ones, by each class's
     arf = ar.astype(np.float32)
     abf = ab.astype(np.float32)
-    union_pairs = {}
-    for nm, mem in class_members.items():
-        cover = np.zeros((I.size, I.size), dtype=bool)
-        mem_r = mem[mem < N]
-        mem_b = mem[mem >= N] - N
-        if mem_r.size:
-            m = arf[mem_r]
-            cov_rows = count_matmul(m.T, m) > 0
-            cover |= cov_rows[np.ix_(rows, rows)]
-        if mem_b.size:
-            m = abf[mem_b]
-            cov_cols = count_matmul(m.T, m) > 0
-            cover |= cov_cols[np.ix_(cols, cols)]
-        union_pairs[nm] = int(cover[iu].sum())
+
+    def covered_pairs(boxes_r, boxes_b) -> int:
+        # the pairs s < t: half the off-diagonal entries
+        cov = _covered(boxes_r, boxes_b, rows, cols)
+        off = np.count_nonzero(cov) - np.count_nonzero(cov.diagonal())
+        return int(off) // 2
+
+    closed = covered_pairs(arf, abf)
+    closed_plus = covered_pairs(upper_r, upper_b)
+    total = I.size * (I.size - 1) // 2
+    union_pairs = {nm: covered_pairs(arf[mem[mem < N]], abf[mem[mem >= N] - N])
+                   for nm, mem in class_members.items()}
 
     # projection sums over the huge class (diagnostics for the budget bounds)
     occI = np.zeros((N, N), dtype=np.float32)
@@ -315,16 +305,12 @@ def classify_sets(I, instance: PlacedGraph) -> SetClassification:
 
 def edges_are_open_plus(instance: PlacedGraph, I) -> bool:
     """True iff no edge of the final graph inside I is covered in the + sense."""
-    I = _vertex_set(I, instance.placement.n)
-    rows = instance.placement.rows[I].astype(np.int64)
-    cols = instance.placement.cols[I].astype(np.int64)
+    I, rows, cols = _cells(I, instance.placement)
     red, blue = instance.product.pair_flags(rows[:, None], cols[:, None],
                                             rows, cols)
-    adj = red | blue
-    comp_r = common_upper_neighbor_matrix(instance.base_red.adj)
-    comp_b = common_upper_neighbor_matrix(instance.base_blue.adj)
-    closedp = comp_r[np.ix_(rows, rows)] | comp_b[np.ix_(cols, cols)]
-    return not bool((adj & closedp).any())
+    closedp = _covered(upper_neighborhoods(instance.base_red.adj),
+                       upper_neighborhoods(instance.base_blue.adj), rows, cols)
+    return not bool(((red | blue) & closedp).any())
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +334,7 @@ def f_function(l_r, l_b, params):
     with k = params.k and pn = params.p * n real-valued.  Symmetric, and
     non-decreasing in each argument on [1, k]; f(k, k) = 2 C(k, 2) exactly.
     """
-    k = float(params.k)
-    pn = params.p * params.n
+    k, pn = float(params.k), params.pn
 
     def side(l):
         l = np.asarray(l, dtype=float)

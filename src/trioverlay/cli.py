@@ -289,13 +289,11 @@ def _sweep_cell(construction: str, n: int, seed: int, args):
         g = res.graph
         diag_parts.append(f"p={par.p:.6g}")
         diag_parts.append(f"deleted={res.stats['edges_deleted']}")
-    elif construction == "process":
+    else:  # "process": cmd_sweep rejects unknown constructions up front
         res = triangle_free_process(n, seed, max_steps=args.max_steps)
         g = res.graph
         diag_parts.append(f"steps={res.stats['steps']}")
         diag_parts.append(f"maximal={res.stats['maximal']}")
-    else:
-        raise _Usage(f"unknown construction {construction!r}")
 
     restarts = 1 if n >= 5000 else 2
     alpha = independence_greedy(g, restarts=restarts, seed=0)

@@ -25,13 +25,15 @@ stores: four N x N boolean matrices, read through the one flag rule
 ColoredProductGraph.pair_flags.  This reproduces the definition exactly at
 every scale while keeping pair queries O(1) and slicing vectorized.
 
-build is the only caller of the induce; rebuild assembles a stored record's
-graph with the bases and placement its reader made.
+upper_neighborhoods(adj) is the one definition of the boxes N+, and
+common_neighbor_matrix(boxes) the pairs sharing a box, for the deletion rule
+and for analysis's closed pairs.  _assemble is the one maker of a whole
+PlacedGraph: build induces its graph, rebuild takes a stored record's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +48,8 @@ __all__ = [
     "STREAM_RED", "STREAM_BLUE", "STREAM_PHI",
     "STREAM_HYPER_RED", "STREAM_HYPER_BLUE", "STREAM_HYPER_PHI",
     "STREAM_EDGE_DELETION", "STREAM_PROCESS", "STREAM_K_SETS", "STREAM_GREEDY",
-    "common_neighbor_matrix", "common_upper_neighbor_matrix", "count_matmul",
+    "upper_neighborhoods", "common_neighbor_matrix",
+    "common_upper_neighbor_matrix", "count_matmul",
 ]
 
 # labeled child streams of the master seed; fixed forever for reproducibility
@@ -137,18 +140,24 @@ def count_matmul(a, b) -> np.ndarray:
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
-def common_neighbor_matrix(adj: np.ndarray) -> np.ndarray:
-    """[u, v] True iff u and v share a neighbor; diagonal True iff deg(u) > 0."""
-    a = adj.astype(np.float32)
-    return count_matmul(a, a) > 0
+def upper_neighborhoods(adj: np.ndarray) -> np.ndarray:
+    """The boxes N+(h), one per row: [h, u] True iff h ~ u and h < u."""
+    idx = np.arange(adj.shape[0])
+    return adj & (idx[:, None] < idx[None, :])
+
+
+def common_neighbor_matrix(boxes: np.ndarray) -> np.ndarray:
+    """[u, v] True iff some box (a row of boxes) holds both u and v.
+
+    For a symmetric adjacency, whose boxes are the neighborhoods: u and v
+    share a neighbor, and the diagonal is True iff deg(u) > 0."""
+    b = np.asarray(boxes, dtype=np.float32)
+    return count_matmul(b.T, b) > 0
 
 
 def common_upper_neighbor_matrix(adj: np.ndarray) -> np.ndarray:
     """[u, v] True iff some h adjacent to both u and v has h < min(u, v)."""
-    N = adj.shape[0]
-    below = adj & (np.arange(N)[:, None] < np.arange(N)[None, :])  # [h, u]: h ~ u, h < u
-    b = below.astype(np.float32)
-    return count_matmul(b.T, b) > 0
+    return common_neighbor_matrix(upper_neighborhoods(adj))
 
 
 @dataclass
@@ -364,7 +373,7 @@ class PlacedGraph:
     product: ColoredProductGraph  # after apply_deletion_rule
     placement: Placement
     graph: SimpleGraphView
-    stats: dict = field(default_factory=dict)
+    stats: dict
 
     @property
     def n(self) -> int:
@@ -415,39 +424,28 @@ def _placed_adjacency(product: ColoredProductGraph, placement: Placement):
     return np.concatenate([red_u, u[keep]]), np.concatenate([red_v, v[keep]])
 
 
-def _placed_stats(g2: ColoredProductGraph, placement: Placement,
-                  extra_stats: dict | None) -> dict:
-    """extra_stats plus the placed graph's counts, from the factorization."""
-    flags = g2.flag_counts(placement)
-    return {**(extra_stats or {}), "n": placement.n, "N": g2.N,
-            "edges_final": flags["edges"],
-            "placed_red_only": flags["red"] - flags["dual"],
-            "placed_blue_only": flags["blue"] - flags["dual"],
-            "placed_dual": flags["dual"]}
-
-
 def induce_final_graph(g2: ColoredProductGraph, placement: Placement,
-                       params: Params | None = None, seed: int | None = None,
-                       base_red: BaseGraph | None = None,
-                       base_blue: BaseGraph | None = None,
-                       extra_stats: dict | None = None) -> PlacedGraph:
-    """Pull the cell graph of the deleted product g2 back through the
-    placement."""
+                       params: Params, seed: int | None, base_red: BaseGraph,
+                       base_blue: BaseGraph, stats: dict) -> PlacedGraph:
+    """The instance whose graph is the cell graph of the deleted product g2
+    pulled back through the placement."""
     graph = SimpleGraphView.from_edge_arrays(
         placement.n, *_placed_adjacency(g2, placement))
     return PlacedGraph(params, seed, base_red, base_blue, g2, placement, graph,
-                       _placed_stats(g2, placement, extra_stats))
+                       stats)
 
 
 def _assemble(params: Params, seed: int | None, gr: BaseGraph, gb: BaseGraph,
               placement: Placement,
               graph: SimpleGraphView | None = None) -> PlacedGraph:
-    """Bases + placement -> deleted product, builder stats and the placed
-    graph: graph when given, else induced."""
+    """Bases + placement -> the whole instance: deleted product, stats (the
+    builder's counts, then the placed graph's, from the factorization) and
+    the placed graph: graph when given, else induced."""
     g1 = conormal_product(gr, gb)
     flags1 = g1.flag_counts()
     g2 = apply_deletion_rule(g1, gr, gb)
     flags2 = g2.flag_counts()
+    placed = g2.flag_counts(placement)
     stats = {
         "edges_base_red": gr.edge_count(),
         "edges_base_blue": gb.edge_count(),
@@ -457,12 +455,14 @@ def _assemble(params: Params, seed: int | None, gr: BaseGraph, gb: BaseGraph,
         "blue_flags_removed": flags1["blue"] - flags2["blue"],
         "cell_edges_product": flags1["edges"],
         "cell_edges_deleted_stage": flags2["edges"],
+        "n": placement.n, "N": g2.N, "edges_final": placed["edges"],
+        "placed_red_only": placed["red"] - placed["dual"],
+        "placed_blue_only": placed["blue"] - placed["dual"],
+        "placed_dual": placed["dual"],
     }
     if graph is None:
-        return induce_final_graph(g2, placement, params=params, seed=seed,
-                                  base_red=gr, base_blue=gb, extra_stats=stats)
-    return PlacedGraph(params, seed, gr, gb, g2, placement, graph,
-                       _placed_stats(g2, placement, stats))
+        return induce_final_graph(g2, placement, params, seed, gr, gb, stats)
+    return PlacedGraph(params, seed, gr, gb, g2, placement, graph, stats)
 
 
 def build(params: Params, seed: int) -> PlacedGraph:

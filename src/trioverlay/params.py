@@ -23,7 +23,7 @@ Use feasible_params for a buildable bundle at any n >= 100.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = [
     "Params",
@@ -96,15 +96,13 @@ class Params:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Params":
-        fields = {k: d[k] for k in (
-            "n", "N", "p", "k", "epsilon", "eps1", "eps2",
-            "beta", "kappa", "t1", "t2", "t3", "C", "mode")}
         # records come from files: re-check everything except grid capacity
         # (derived records are allowed to describe non-injectable bundles)
-        return _validate(cls(**fields), require_grid=False)
+        return _validate(cls(**{f.name: d[f.name] for f in fields(cls)}))
 
 
-def _validate(par: Params, require_grid: bool) -> Params:
+def _validate(par: Params) -> Params:
+    """par, after the checks every bundle passes; grid capacity is not one."""
     if par.n < 1:
         raise ValueError(f"n = {par.n} must be positive")
     if par.N < 2:
@@ -125,8 +123,6 @@ def _validate(par: Params, require_grid: bool) -> Params:
         raise ValueError(
             f"cutoff chain violated: need t3 < t2 < t1 < k, "
             f"got ({par.t3}, {par.t2}, {par.t1}, {par.k})")
-    if require_grid:
-        par.require_injectable()
     return par
 
 
@@ -163,7 +159,7 @@ def derive_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
         t3=n ** (2.0 * epsilon),
         mode="derived",
     )
-    return _validate(par, require_grid=False)
+    return _validate(par)
 
 
 def explicit_params(n: int, N: int, p: float, k: int, epsilon: float = 0.1,
@@ -187,7 +183,8 @@ def explicit_params(n: int, N: int, p: float, k: int, epsilon: float = 0.1,
         t3=0.25 * k if t3 is None else t3,
         mode="explicit",
     )
-    return _validate(par, require_grid=True)
+    _validate(par).require_injectable()
+    return par
 
 
 def feasible_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
@@ -203,12 +200,6 @@ def feasible_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
     par = derive_params(n, epsilon=epsilon, beta=beta, kappa=kappa)
     if par.injectable:
         return par
-    N = math.ceil(math.sqrt(n))
-    clamped = Params(
-        n=n, N=N, p=par.p, k=par.k,
-        epsilon=par.epsilon, eps1=par.eps1, eps2=par.eps2,
-        beta=par.beta, kappa=par.kappa,
-        t1=par.t1, t2=par.t2, t3=par.t3,
-        mode="clamped",
-    )
-    return _validate(clamped, require_grid=True)
+    clamped = replace(par, N=math.ceil(math.sqrt(n)), mode="clamped")
+    _validate(clamped).require_injectable()
+    return clamped

@@ -24,6 +24,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class InstanceRecord:
     # (base_red, base_blue, placement), whole or None; read with params only
     provenance: tuple[BaseGraph, BaseGraph, Placement] | None = None
     stats: dict = field(default_factory=dict)
-    kind: str = "graph"
+    kind: ClassVar[str] = "graph"
 
     def graph(self) -> SimpleGraphView:
         return SimpleGraphView.from_edge_arrays(
@@ -95,7 +96,7 @@ class TripleRecord:
     system: TripleSystem
     params: Params | None = None
     stats: dict = field(default_factory=dict)
-    kind: str = "triples"
+    kind: ClassVar[str] = "triples"
 
     @property
     def n(self) -> int:
@@ -122,11 +123,15 @@ def triple_record(h: TripleSystem, params: Params | None = None, seed: int = 0,
 
 def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
     """The key of rec's entries, the entries as one (m, w) int64 array
-    (0-based; w = 2 for edges, 3 for triples) and rec's sidecar payload."""
+    (0-based; w = 2 for edges, 3 for triples) and rec's sidecar payload;
+    ValueError for a graph record with provenance but no params."""
     if rec.kind == "graph":
         key, entries = "edges", rec.edges
         extra = dict.fromkeys(_PROVENANCE)
         if rec.provenance is not None:
+            if rec.params is None:  # a file the reader rejects
+                raise ValueError("partial provenance: holds "
+                                 f"{', '.join(_PROVENANCE)} without params")
             red, blue, placement = rec.provenance
             extra = {"base_red_edges": red.edge_array(),
                      "base_blue_edges": blue.edge_array(),

@@ -5,6 +5,7 @@ recomputed here with plain Python loops over neighbor sets, independently of
 the matrix factorizations used by the library.
 """
 
+import json
 import math
 from itertools import combinations
 from types import SimpleNamespace
@@ -254,6 +255,7 @@ class TestClassifySets:
         assert set(d["class_sizes"]) == set(CLASS_NAMES)
         assert sum(d["class_sizes"].values()) == 10
         assert d["closed"] + d["open"] == 10
+        assert json.loads(json.dumps(d)) == d  # plain Python values only
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from trioverlay.construction import (STREAM_BLUE, STREAM_RED, BaseGraph,
                                      child_rng, common_neighbor_matrix,
                                      common_upper_neighbor_matrix,
                                      conormal_product, count_matmul,
-                                     sample_base_graphs, sample_injection)
+                                     sample_base_graphs, sample_injection,
+                                     upper_neighborhoods)
 from trioverlay.graphview import count_triangles
 from trioverlay.params import derive_params, explicit_params, feasible_params
 from trioverlay.serialize import graph_record, read_instance, write_instance
@@ -122,6 +125,33 @@ class TestCommonNeighborMatrices:
                     want_up = any(adj[h, a] and adj[h, b]
                                   and h < min(a, b) for h in range(N))
                     assert comp[a, b] == want_up
+
+    def test_box_families_vs_definition(self):
+        # any family of boxes, one per row: not square, not symmetric, or
+        # empty; [u, v] iff some box holds both u and v
+        rng = np.random.default_rng(12)
+        for M, N in [(0, 4), (1, 5), (3, 7), (9, 4)] + [
+                tuple(int(x) for x in rng.integers(0, 12, 2)) for _ in range(20)]:
+            boxes = rng.random((M, N)) < rng.random()
+            com = common_neighbor_matrix(boxes)
+            assert com.shape == (N, N) and com.dtype == bool
+            for u in range(N):
+                for v in range(N):
+                    assert com[u, v] == any(boxes[h, u] and boxes[h, v]
+                                            for h in range(M))
+
+    def test_upper_neighborhoods_vs_definition(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            N = int(rng.integers(1, 12))
+            adj = np.triu(rng.random((N, N)) < 0.5, 1)
+            adj |= adj.T
+            up = upper_neighborhoods(adj)
+            for h in range(N):
+                for u in range(N):
+                    assert up[h, u] == (bool(adj[h, u]) and h < u)
+            assert (common_upper_neighbor_matrix(adj)
+                    == common_neighbor_matrix(up)).all()
 
     def test_diagonal_semantics(self):
         # diag of the common matrix flags "has any neighbor"
@@ -557,6 +587,21 @@ class TestBuild:
             dens.append(placed.graph.m / (par.n * (par.n - 1) / 2))
         mean = float(np.mean(dens))
         assert 1.5 * par.p <= mean <= 2.5 * par.p
+
+    def test_induce_needs_the_whole_instance(self):
+        # no defaults: a PlacedGraph without params, seed, bases or stats
+        # cannot be made
+        placed = build(explicit_params(n=20, N=5, p=0.6, k=5), 4)
+        sig = inspect.signature(construction.induce_final_graph)
+        assert all(p.default is p.empty for p in sig.parameters.values())
+        with pytest.raises(TypeError):
+            construction.induce_final_graph(placed.product, placed.placement)
+        again = construction.induce_final_graph(
+            placed.product, placed.placement, placed.params, placed.seed,
+            placed.base_red, placed.base_blue, placed.stats)
+        assert again.graph.edge_array().tolist() == \
+            placed.graph.edge_array().tolist()
+        assert again.stats is placed.stats and again.params is placed.params
 
     def test_rebuild_uses_the_records_objects(self, tmp_path, monkeypatch):
         # the reader makes the bases and the placement once; rebuild only

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -139,6 +140,21 @@ class TestFeasible:
     def test_identity_when_already_feasible(self):
         assert feasible_params(10000) == derive_params(10000)
         assert feasible_params(10000).mode == "derived"
+
+    def test_clamped_keeps_the_derived_fields(self):
+        # every field but N and mode is the derived one, at every clamped n
+        others = [f.name for f in fields(Params) if f.name not in ("N", "mode")]
+        clamped = 0
+        for n in range(100, 5501):
+            par, ref = feasible_params(n), derive_params(n)
+            if par.mode == "derived":
+                assert par == ref
+                continue
+            clamped += 1
+            assert par.mode == "clamped" and par.N == math.ceil(math.sqrt(n))
+            assert [getattr(par, f) for f in others] == \
+                [getattr(ref, f) for f in others]
+        assert clamped > 5000
 
     def test_minimality(self):
         for n in (150, 1000, 2000, 5000):

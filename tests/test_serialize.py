@@ -1,5 +1,6 @@
 """File formats: edge lists with sidecars, embedded JSON, and equality."""
 
+import dataclasses
 import json
 import os
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 from oracles import edge_list_by_split
 
-from trioverlay.construction import build
+from trioverlay.construction import build, rebuild
 from trioverlay.hypergraph import BLUE, RED, TripleSystem
-from trioverlay.params import explicit_params
+from trioverlay.params import explicit_params, feasible_params
 from trioverlay.serialize import (InstanceRecord, TripleRecord, _line_widths,
                                   _record_payload, graph_record,
                                   instances_equal, read_instance,
@@ -46,6 +47,17 @@ class TestGraphRoundTrip:
         assert files == [path]
         back = read_instance(path)
         assert instances_equal(rec, back)
+
+    def test_rebuild_keeps_stats(self, tmp_path):
+        # build -> record -> file -> record -> rebuild: equal stats, keys in
+        # the same order, in either format
+        placed = build(feasible_params(300), seed=5)
+        for fmt, name in (("edgelist", "r.edges"), ("json", "r.json")):
+            path = str(tmp_path / name)
+            write_instance(graph_record(placed), path, fmt=fmt)
+            again = rebuild(read_instance(path))
+            assert again.stats == placed.stats
+            assert list(again.stats) == list(placed.stats)
 
     def test_text_layout(self, tmp_path):
         rec = graph_record(_placed(seed=1))
@@ -222,6 +234,26 @@ class TestErrors:
                              edges=np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(FileNotFoundError):
             write_instance(rec, str(tmp_path / "nope" / "x.edges"))
+
+    def test_provenance_without_params(self, tmp_path):
+        # the reader rejects such a file, so the writer writes none
+        rec = graph_record(_placed())
+        rec.params = None
+        for fmt in ("edgelist", "json"):
+            with pytest.raises(ValueError, match="partial provenance: holds "
+                               "base_red_edges, base_blue_edges, placement "
+                               "without params"):
+                write_instance(rec, str(tmp_path / "x.edges"), fmt=fmt)
+            assert os.listdir(tmp_path) == []
+
+    def test_kind_is_not_a_field(self):
+        # a record's kind is its class's constant, not a settable field
+        for cls, kind in ((InstanceRecord, "graph"), (TripleRecord, "triples")):
+            assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+            assert cls.kind == kind
+        with pytest.raises(TypeError):
+            InstanceRecord(n=3, seed=0, edges=np.zeros((0, 2), np.int64),
+                           kind="triples")
 
     def test_unknown_format(self, tmp_path):
         rec = InstanceRecord(n=3, seed=0,
