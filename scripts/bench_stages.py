@@ -8,15 +8,17 @@ equals derive_params wherever that is buildable), the file records:
 
 - the machine: nproc, the numpy version and BLAS, the BLAS thread count;
 - end to end: CLI build, verify, alpha --method greedy and diagnose, each in
-  a fresh interpreter, with the sha256 of the built files and of the --json
-  stdout of verify, alpha --method greedy and diagnose (run in the work
-  directory on a relative path, so the digests compare across trees);
+  a fresh interpreter, with the sha256 of the built files, of the --json
+  stdout of verify, alpha --method greedy and diagnose, and of the text
+  stdout of build and verify (run in the work directory on a relative path,
+  so the digests compare across trees);
 - reading: serialize.read_instance on the built file, and
   construction.rebuild(read_instance(path)), in a fresh interpreter;
 - per stage: the induce (construction._placed_adjacency), the CSR
   (graphview.from_edge_arrays), the check that the CSR's edge array is the
-  placed graph (ColoredProductGraph.placed_edges_are), the triangle count
-  (graphview.count_triangles), the factorized triangle certificate
+  placed graph (row placed_edges_are: PlacedGraph.edges_are_placed, or
+  ColoredProductGraph.placed_edges_are in a tree without it), the triangle
+  count (graphview.count_triangles), the factorized triangle certificate
   (ColoredProductGraph.triangle_certificate; null in a tree without it),
   greedy alpha (independence.independence_greedy, 1 and 3 restarts) and
   its swap step alone (independence._swap_improve on one min-degree pass),
@@ -78,8 +80,12 @@ t1 = perf_counter()
 graph = SimpleGraphView.from_edge_arrays(par.n, us, vs)
 t2 = perf_counter()
 edges = graph.edge_array()
+placed = c._assemble(par, 0, gr, gb, placement, graph)
 t3 = perf_counter()
-assert g2.placed_edges_are(placement, edges)
+if hasattr(placed, "edges_are_placed"):
+    assert placed.edges_are_placed(edges)
+else:
+    assert g2.placed_edges_are(placement, edges)
 t4 = perf_counter()
 assert count_triangles(graph) == 0
 t5 = perf_counter()
@@ -95,7 +101,6 @@ certificate = None
 if hasattr(g2, "triangle_certificate"):
     assert g2.triangle_certificate() == 0
     certificate = perf_counter() - t9
-placed = c.PlacedGraph(par, 0, gr, gb, g2, placement, graph, {})
 sets = an.sample_k_sets(placed, n_random=5, seed=0)
 t10 = perf_counter()
 classified = [an.classify_sets(I, placed).to_dict() for _, I in sets]
@@ -146,10 +151,10 @@ def cli_medians(env, work: Path, argvs: dict) -> dict:
             for key, argv in argvs.items()}
 
 
-def stdout_digests(env, work: Path, argvs: dict) -> dict:
-    """sha256 of the --json stdout of each CLI command line."""
+def stdout_digests(env, work: Path, argvs: dict, *extra) -> dict:
+    """sha256 of the stdout of each CLI command line, extra flags appended."""
     return {key: hashlib.sha256(python(
-        env, work, "-m", "trioverlay.cli", *argv, "--json").encode()).hexdigest()
+        env, work, "-m", "trioverlay.cli", *argv, *extra).encode()).hexdigest()
             for key, argv in argvs.items()}
 
 
@@ -166,9 +171,9 @@ def medians(runs: list, keys) -> dict:
 
 def bench_size(env, n: int, work: Path) -> dict:
     path = f"n{n}.edges"  # relative to work: it appears in the reports
-    cli = cli_medians(env, work, {
-        "build": ["build", "--n", str(n), "--clamp", "--seed", "0",
-                  "--out", path]})
+    build = {"build": ["build", "--n", str(n), "--clamp", "--seed", "0",
+                       "--out", path]}
+    cli = cli_medians(env, work, build)
     readers = {"verify": ["verify", path],
                "alpha_greedy": ["alpha", path, "--method", "greedy"],
                "diagnose": ["diagnose", path]}
@@ -186,7 +191,9 @@ def bench_size(env, n: int, work: Path) -> dict:
             "stage_s": stages, "greedy": runs[0]["greedy"],
             "classify_sha256": runs[0]["classify_sha256"],
             "sha256": digests(work / path),
-            "json_stdout_sha256": stdout_digests(env, work, readers)}
+            "json_stdout_sha256": stdout_digests(env, work, readers, "--json"),
+            "text_stdout_sha256": stdout_digests(
+                env, work, {**build, "verify": readers["verify"]})}
 
 
 def bench_hyper(env, shape: tuple, work: Path) -> dict:
@@ -199,7 +206,7 @@ def bench_hyper(env, shape: tuple, work: Path) -> dict:
                   "--out", path], **verify})
     return {"N": N, "n": n, "p": p, "k": k, "cli_s": cli,
             "sha256": digests(work / path),
-            "json_stdout_sha256": stdout_digests(env, work, verify)}
+            "json_stdout_sha256": stdout_digests(env, work, verify, "--json")}
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ from .construction import (BaseGraph, ColoredProductGraph, PlacedGraph,
                            induce_final_graph, sample_base_graphs,
                            sample_injection)
 from .graphview import SimpleGraphView, count_triangles
-from .hypergraph import (BLUE, RED, LinkGraph, TripleSystem, extract_link,
+from .hypergraph import (BLUE, RED, TripleSystem, extract_link,
                          hyper_product, inject_hyper, s4_reduction,
                          sample_base_3graphs, verify_s4_free)
 from .independence import (IndependenceResult, independence_exact,
@@ -51,7 +51,7 @@ __all__ = [
     "IndependenceResult", "independence_exact", "independence_greedy",
     "is_independent_set",
     # hypergraph
-    "RED", "BLUE", "TripleSystem", "LinkGraph",
+    "RED", "BLUE", "TripleSystem",
     "sample_base_3graphs", "hyper_product", "inject_hyper", "s4_reduction",
     "extract_link", "verify_s4_free",
     # baselines

@@ -30,9 +30,6 @@ _CHUNK_MIN, _CHUNK_MAX = 16, 65536
 
 @dataclass(frozen=True)
 class BaselineResult:
-    name: str
-    n: int
-    seed: int
     graph: SimpleGraphView
     stats: dict
 
@@ -73,7 +70,7 @@ def edge_deletion_baseline(n: int, p: float, seed: int) -> BaselineResult:
         raise AssertionError("edge-deletion baseline left a triangle")
     stats = {"m_initial": int(us.size), "triangles_initial": int(apexes.sum()),
              "edges_deleted": int(doomed.sum()), "m_final": g.m, "p": p}
-    return BaselineResult("edge-deletion", n, seed, g, stats)
+    return BaselineResult(g, stats)
 
 
 def triangle_free_process(n: int, seed: int, max_steps: int | None = None) -> BaselineResult:
@@ -137,4 +134,4 @@ def triangle_free_process(n: int, seed: int, max_steps: int | None = None) -> Ba
         raise AssertionError("triangle-free process closed a triangle")
     stats = {"m_final": g.m, "steps": len(heads), "open_remaining": open_pairs,
              "maximal": open_pairs == 0}
-    return BaselineResult("triangle-free-process", n, seed, g, stats)
+    return BaselineResult(g, stats)

@@ -144,8 +144,7 @@ def cmd_hyper(args) -> int:
 def _verify_graph(rec, report: dict) -> bool:
     placed = rebuild(rec)
     g = rec.graph() if placed is None else placed.graph
-    rederivable = placed is not None and placed.product.placed_edges_are(
-        placed.placement, rec.edges)
+    rederivable = placed is not None and placed.edges_are_placed(rec.edges)
     # the placed edges join distinct flagged cells, so a triangle of g is a
     # closed 3-walk of the cell graph: a zero certificate leaves none
     if rederivable and placed.product.triangle_certificate() == 0:
@@ -327,8 +326,6 @@ def cmd_sweep(args) -> int:
     for construction in constructions:
         if construction not in SWEEP_CONSTRUCTIONS:
             raise _Usage(f"unknown construction {construction!r}")
-    if args.max_steps is not None and args.max_steps < 0:
-        raise _Usage("--max-steps must be >= 0")
     fields = ["construction", "n", "seed", "edges", "max_degree",
               "alpha_greedy", "alpha_exact", "ratio_greedy", "diag"]
     out = args.out or "sweep.csv"
@@ -353,6 +350,15 @@ def cmd_sweep(args) -> int:
 
 
 # ---------------------------------------------------------------- wiring
+
+
+def _count(floor: int):
+    """argparse type: an integer of at least floor."""
+    def count(text: str) -> int:
+        if (value := int(text)) < floor:
+            raise argparse.ArgumentTypeError(f"{value} is below {floor}")
+        return value
+    return count
 
 
 def _add_common(sp):
@@ -403,15 +409,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("--method", choices=("greedy", "exact", "both"),
                     default="greedy")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--restarts", type=int, default=3)
+    sp.add_argument("--budget", type=_count(1), default=DEFAULT_BUDGET)
+    sp.add_argument("--restarts", type=_count(1), default=3)
     _add_common(sp)
     sp.set_defaults(func=cmd_alpha)
 
     sp = sub.add_parser("diagnose",
                         help="concentration + k-set classification report")
     sp.add_argument("path")
-    sp.add_argument("--sets", type=int, default=5,
+    sp.add_argument("--sets", type=_count(0), default=5,
                     help="random k-sets to classify")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-adversarial", action="store_true")
@@ -421,15 +427,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="CSV comparison across constructions")
     sp.add_argument("--n", default=None,
                     help="comma-separated n grid, e.g. 2000,5000")
-    sp.add_argument("--seeds", type=int, default=3,
+    sp.add_argument("--seeds", type=_count(0), default=3,
                     help="seeds 0..S-1 per cell")
     sp.add_argument("--constructions", default="overlay,edge-deletion")
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--beta", type=float, default=0.5)
     sp.add_argument("--exact", action="store_true",
                     help="also run the exact solver per cell")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--max-steps", type=int, default=None)
+    sp.add_argument("--budget", type=_count(1), default=DEFAULT_BUDGET)
+    sp.add_argument("--max-steps", type=_count(0), default=None)
     sp.add_argument("--out", default=None)
     _add_common(sp)
     sp.set_defaults(func=cmd_sweep)

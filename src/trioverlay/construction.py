@@ -75,18 +75,21 @@ class BaseGraph:
     """One blow-up side: an undirected graph on {0..N-1} plus its side tag."""
 
     side: str  # "red" (row coordinates) or "blue" (column coordinates)
-    N: int
     adj: np.ndarray  # (N, N) bool, symmetric, zero diagonal
 
     def __post_init__(self):
         if self.side not in ("red", "blue"):
             raise ValueError(f"side must be 'red' or 'blue', got {self.side!r}")
         adj = np.asarray(self.adj, dtype=bool)
-        if adj.shape != (self.N, self.N):
-            raise ValueError("adjacency shape mismatch")
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency of shape {adj.shape} is not square")
         if adj.diagonal().any() or not (adj == adj.T).all():
             raise ValueError("adjacency must be symmetric with empty diagonal")
         self.adj = adj
+
+    @property
+    def N(self) -> int:
+        return self.adj.shape[0]
 
     @classmethod
     def from_edges(cls, side: str, N: int, edges) -> "BaseGraph":
@@ -97,7 +100,7 @@ class BaseGraph:
         us, vs = edges.T
         adj = np.zeros((N, N), dtype=bool)
         adj[us, vs] = adj[vs, us] = True
-        return cls(side, N, adj)  # rejects self-loops
+        return cls(side, adj)  # rejects self-loops
 
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
@@ -119,7 +122,7 @@ def sample_base_graphs(params: Params, seed: int) -> tuple[BaseGraph, BaseGraph]
         for i in range(N - 1):
             adj[i, i + 1:] = rng.random(N - 1 - i) < p
         adj |= adj.T
-        graphs.append(BaseGraph(side, N, adj))
+        graphs.append(BaseGraph(side, adj))
     return graphs[0], graphs[1]
 
 
@@ -175,11 +178,14 @@ class ColoredProductGraph:
     walks only the pairs i < k of red_row and j < l of blue_col.
     """
 
-    N: int
     red_row: np.ndarray
     red_col: np.ndarray
     blue_row: np.ndarray
     blue_col: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.red_row.shape[0]
 
     @property
     def cells(self) -> int:
@@ -220,21 +226,6 @@ class ColoredProductGraph:
         # ordered pairs count each unordered cell pair twice
         red, blue, dual = (x // 2 for x in ordered)
         return {"red": red, "blue": blue, "dual": dual, "edges": red + blue - dual}
-
-    def placed_edges_are(self, placement: Placement, edges) -> bool:
-        """True iff edges is the placed graph's edge array (u < v, sorted),
-        without inducing it: keys u * n + v strictly increasing with
-        u < v < n, every pair flagged, and as many pairs as placed edges."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        u, v = edges.T
-        n = placement.n
-        if not ((u >= 0).all() and (u < v).all() and (v < n).all()
-                and (np.diff(u * n + v) > 0).all()):
-            return False
-        red, blue = self.pair_flags(placement.rows[u], placement.cols[u],
-                                    placement.rows[v], placement.cols[v])
-        return (bool((red | blue).all())
-                and len(edges) == self.flag_counts(placement)["edges"])
 
     def triangle_certificate(self) -> int:
         """tr(M^3) for M = red + blue, the flag matrices of to_dense: closed
@@ -282,10 +273,8 @@ def conormal_product(gr: BaseGraph, gb: BaseGraph) -> ColoredProductGraph:
         raise ValueError("expected a red and a blue base graph, in that order")
     if gr.N != gb.N:
         raise ValueError("base graphs must share N")
-    N = gr.N
-    free = np.broadcast_to(True, (N, N))  # read-only: no constraint on that side
+    free = np.broadcast_to(True, gr.adj.shape)  # read-only: no constraint there
     return ColoredProductGraph(
-        N=N,
         red_row=gr.adj.copy(),
         red_col=free,
         blue_row=free,
@@ -308,7 +297,6 @@ def apply_deletion_rule(g1: ColoredProductGraph, gr: BaseGraph,
             and g1.red_col.all() and g1.blue_row.all()):
         raise ValueError("g1 is not the conormal product of the base graphs")
     return ColoredProductGraph(
-        N=g1.N,
         red_row=gr.adj & ~common_upper_neighbor_matrix(gr.adj),
         red_col=~common_neighbor_matrix(gb.adj),
         blue_row=~common_neighbor_matrix(gr.adj),
@@ -378,6 +366,20 @@ class PlacedGraph:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    def edges_are_placed(self, edges) -> bool:
+        """True iff edges is the placed graph's edge array (u < v, sorted),
+        without inducing it: keys u * n + v strictly increasing with
+        u < v < n, every pair flagged, and stats["edges_final"] pairs."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = edges.T
+        rows, cols, n = self.placement.rows, self.placement.cols, self.n
+        if not ((u >= 0).all() and (u < v).all() and (v < n).all()
+                and (np.diff(u * n + v) > 0).all()):
+            return False
+        red, blue = self.product.pair_flags(rows[u], cols[u], rows[v], cols[v])
+        return (bool((red | blue).all())
+                and len(edges) == self.stats["edges_final"])
 
 
 def _fibers(coords: np.ndarray, N: int):
@@ -476,7 +478,7 @@ def rebuild(rec) -> PlacedGraph | None:
     """Re-derive a stored serialize.InstanceRecord around rec.graph(), or
     None when rec holds no provenance.
 
-    The graph is not induced: product.placed_edges_are(placement, rec.edges)
+    The graph is not induced: edges_are_placed(rec.edges) on the result
     tells whether it is the placed one.  The reader has already checked the
     bases and the placement against params and rec.n."""
     if rec.provenance is None:

@@ -58,11 +58,10 @@ import numpy as np
 
 from .construction import (STREAM_HYPER_BLUE, STREAM_HYPER_PHI,
                            STREAM_HYPER_RED, child_rng)
-from .graphview import SimpleGraphView
 from .params import Params
 
 __all__ = [
-    "RED", "BLUE", "TripleSystem", "LinkGraph",
+    "RED", "BLUE", "TripleSystem",
     "sample_base_3graphs", "hyper_product", "inject_hyper", "s4_reduction",
     "extract_link", "verify_s4_free",
 ]
@@ -278,31 +277,15 @@ def s4_reduction(h2: TripleSystem) -> TripleSystem:
                                     kind="reduced", cells=h2.cells)
 
 
-@dataclass
-class LinkGraph:
-    """Link of one vertex: the pairs u < w of its triples, with their flags."""
-
-    center: int
-    order: int
-    pairs: np.ndarray  # (m, 2) int64
-    flags: np.ndarray  # (m,) uint8
-
-    def graph_view(self) -> SimpleGraphView:
-        return SimpleGraphView.from_edge_arrays(self.order, self.pairs[:, 0],
-                                                self.pairs[:, 1])
-
-    def edge_count(self) -> int:
-        return len(self.pairs)
-
-
-def extract_link(h: TripleSystem, v: int) -> LinkGraph:
+def extract_link(h: TripleSystem, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Link of v: the pairs u < w of its triples, (m, 2), and their flags."""
     if not 0 <= v < h.order:
         raise ValueError("vertex out of range")
     at = h.triples == v
     through = at.any(axis=1)
     # each row through v without v, its other two vertices in order
     pairs = h.triples[through][~at[through]].reshape(-1, 2)
-    return LinkGraph(v, h.order, pairs, h.flags[through])
+    return pairs, h.flags[through]
 
 
 def verify_s4_free(h: TripleSystem) -> bool:

@@ -36,11 +36,13 @@ DEFAULT_BUDGET = 10_000_000
 
 @dataclass
 class IndependenceResult:
-    method: str
-    value: int
     certificate: list[int]
     optimal: bool
     nodes: int  # search nodes (exact) or passes (greedy) consumed
+
+    @property
+    def value(self) -> int:
+        return len(self.certificate)
 
 
 def _bitmask_rows(g: SimpleGraphView) -> list[int]:
@@ -71,7 +73,7 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
     """Maximum independent set via max clique of the complement."""
     n = g.n
     if n == 0:
-        return IndependenceResult("exact", 0, [], True, 0)
+        return IndependenceResult([], True, 0)
     adj = _bitmask_rows(g)
     full = (1 << n) - 1
     comp = [full ^ adj[v] ^ (1 << v) for v in range(n)]
@@ -122,10 +124,10 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
         expand(0, 0, full)
     except _Budget:
         optimal = False
-    value, cert = best[0], sorted(best[1])
+    cert = sorted(best[1])
     if not is_independent_set(g, cert):
         raise AssertionError("exact solver produced an invalid certificate")
-    return IndependenceResult("exact", value, cert, optimal, nodes[0])
+    return IndependenceResult(cert, optimal, nodes[0])
 
 
 _DEAD = np.iinfo(np.int64).max  # degree of a removed vertex
@@ -272,7 +274,7 @@ def independence_greedy(g: SimpleGraphView, restarts: int = 3,
     """Heuristic independent set; value >= max degree on triangle-free graphs."""
     n = g.n
     if n == 0:
-        return IndependenceResult("greedy", 0, [], True, 0)
+        return IndependenceResult([], True, 0)
     rng = child_rng(seed, STREAM_GREEDY)
     best: list[int] = []
 
@@ -281,13 +283,12 @@ def independence_greedy(g: SimpleGraphView, restarts: int = 3,
         nb = g.neighbors(v_star).tolist()
         if is_independent_set(g, nb):  # always true when triangle-free
             best = sorted(nb)
-    passes = 0
-    for _ in range(max(1, restarts)):
-        passes += 1
+    passes = max(1, restarts)
+    for _ in range(passes):
         cand = _greedy_min_degree(g, rng)
         if len(cand) > len(best):
             best = sorted(cand)
     best = _swap_improve(g, best)
     if not is_independent_set(g, best):
         raise AssertionError("greedy produced an invalid certificate")
-    return IndependenceResult("greedy", len(best), best, len(best) == n, passes)
+    return IndependenceResult(best, len(best) == n, passes)

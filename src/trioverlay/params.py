@@ -10,8 +10,8 @@ together with the size cutoffs t1 = sqrt(n ln n)/ln(ln n), t2 = n^(1/4+eps),
 t3 = n^(2 eps) used to stratify closed-pair diagnostics.  Explicit mode takes
 (n, N, p, k) verbatim for desk-scale experiments where the formulas degenerate.
 
-Conventions pinned here (recorded in every serialized record): eps1 = eps^3,
-eps2 = eps^6; N rounds to nearest, k rounds up.
+Conventions pinned here (computed from epsilon; a record must agree):
+eps1 = eps^3, eps2 = eps^6, C = 3 sqrt(20); N rounds to nearest, k rounds up.
 
 Note on N^2 >= n: the injection of n vertices into the N x N cell grid exists
 only when N^2 >= n.  Derived mode returns the formula values even when the
@@ -23,7 +23,8 @@ Use feasible_params for a buildable bundle at any n >= 100.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 __all__ = [
     "Params",
@@ -36,9 +37,11 @@ __all__ = [
 # constant in the pairwise-intersection bounds of the concentration report
 C_CONST = 3.0 * math.sqrt(20.0)
 
-EPS1_RULE = "eps1 = epsilon**3"
-EPS2_RULE = "eps2 = epsilon**6"
+EPS_RULE = "eps1 = epsilon**3; eps2 = epsilon**6"
 ROUNDING_RULE = "N = round(n/ln(n)^2), k = ceil(kappa*sqrt(n*ln(n)))"
+# a record's keys, in the order it writes them; eps1, eps2 and C are computed
+_RECORD_KEYS = ("n", "N", "p", "k", "epsilon", "eps1", "eps2", "beta",
+                "kappa", "t1", "t2", "t3", "C", "mode")
 
 
 @dataclass(frozen=True)
@@ -50,19 +53,21 @@ class Params:
     p: float        # base edge probability
     k: int          # independent-set size under test
     epsilon: float  # slack parameter
-    eps1: float     # coarse slack, eps^3 by convention
-    eps2: float     # fine slack, eps^6 by convention
     beta: float     # p = beta * sqrt(ln n / n); implied value in explicit mode
     kappa: float    # k = ceil(kappa * sqrt(n ln n)); implied in explicit mode
     t1: float       # huge/large size cutoff
     t2: float       # large/medium cutoff
     t3: float       # medium/small cutoff
-    C: float = C_CONST
     mode: str = "derived"
+    C: ClassVar[float] = C_CONST
 
     @property
-    def cells(self) -> int:
-        return self.N * self.N
+    def eps1(self) -> float:  # coarse slack
+        return self.epsilon ** 3
+
+    @property
+    def eps2(self) -> float:  # fine slack
+        return self.epsilon ** 6
 
     @property
     def injectable(self) -> bool:
@@ -83,22 +88,26 @@ class Params:
 
     def require_injectable(self) -> None:
         if not self.injectable:
-            raise ValueError(
-                f"grid too small for injection: N^2 = {self.N * self.N} < n = {self.n}"
-            )
+            raise ValueError("grid too small for injection: "
+                             f"N^2 = {self.N * self.N} < n = {self.n}")
 
     def to_dict(self) -> dict:
         """Flat record, suitable for JSON sidecars and CSV provenance."""
-        d = asdict(self)
-        d["convention_eps"] = f"{EPS1_RULE}; {EPS2_RULE}"
+        d = {key: getattr(self, key) for key in _RECORD_KEYS}
+        d["convention_eps"] = EPS_RULE
         d["convention_rounding"] = ROUNDING_RULE
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Params":
-        # records come from files: re-check everything except grid capacity
-        # (derived records are allowed to describe non-injectable bundles)
-        return _validate(cls(**{f.name: d[f.name] for f in fields(cls)}))
+        # re-check all but grid capacity (a derived record may describe a
+        # non-injectable bundle); eps1, eps2 and C match up to ** rounding
+        par = _validate(cls(**{f.name: d[f.name] for f in fields(cls)}))
+        for key in ("eps1", "eps2", "C"):
+            if not math.isclose(d[key], getattr(par, key), rel_tol=1e-12):
+                raise ValueError(f"{key} = {d[key]} is not the convention's "
+                                 f"{getattr(par, key)}")
+        return par
 
 
 def _validate(par: Params) -> Params:
@@ -115,10 +124,8 @@ def _validate(par: Params) -> Params:
         raise ValueError(f"p = {par.p} must be positive in {par.mode} mode")
     if not (1 <= par.k <= par.n):
         raise ValueError(f"k = {par.k} outside [1, n = {par.n}]")
-    if not (0.0 < par.eps2 < par.eps1 < par.epsilon < 1.0):
-        raise ValueError(
-            f"slack chain violated: need 0 < eps2 < eps1 < epsilon < 1, "
-            f"got ({par.eps2}, {par.eps1}, {par.epsilon})")
+    if not (0.0 < par.epsilon < 1.0):
+        raise ValueError(f"epsilon = {par.epsilon} outside (0, 1)")
     if not (par.t3 < par.t2 < par.t1 < par.k):
         raise ValueError(
             f"cutoff chain violated: need t3 < t2 < t1 < k, "
@@ -150,8 +157,6 @@ def derive_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
         p=beta * math.sqrt(ln / n),
         k=math.ceil(kappa * math.sqrt(n * ln)),
         epsilon=epsilon,
-        eps1=epsilon ** 3,
-        eps2=epsilon ** 6,
         beta=beta,
         kappa=kappa,
         t1=math.sqrt(n * ln) / math.log(ln),
@@ -175,9 +180,7 @@ def explicit_params(n: int, N: int, p: float, k: int, epsilon: float = 0.1,
     beta = p * math.sqrt(n / ln) if ln > 0 else math.nan
     kappa = k / math.sqrt(n * ln) if ln > 0 else math.nan
     par = Params(
-        n=n, N=N, p=p, k=k,
-        epsilon=epsilon, eps1=epsilon ** 3, eps2=epsilon ** 6,
-        beta=beta, kappa=kappa,
+        n=n, N=N, p=p, k=k, epsilon=epsilon, beta=beta, kappa=kappa,
         t1=0.75 * k if t1 is None else t1,
         t2=0.50 * k if t2 is None else t2,
         t3=0.25 * k if t3 is None else t3,

@@ -244,7 +244,10 @@ def _from_payload(payload: dict, source: str, body: np.ndarray | None = None):
     n = _integer(payload["n"], "n")
     seed = _integer(payload.get("seed", 0), "seed")
     params = payload.get("params")
-    params = None if params is None else Params.from_dict(params)
+    try:
+        params = None if params is None else Params.from_dict(params)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     stats = payload.get("stats") or {}
     if kind == "graph":
         raw = payload.get("edges", []) if body is None else body

@@ -479,7 +479,7 @@ def edge_deletion_loop(n: int, p: float, seed: int):
     assert count_triangles(g) == 0
     stats = {"m_initial": m0, "triangles_initial": triangles0,
              "edges_deleted": deleted, "m_final": g.m, "p": p}
-    return BaselineResult("edge-deletion", n, seed, g, stats)
+    return BaselineResult(g, stats)
 
 
 def triangle_free_process_scalar(n: int, seed: int, max_steps: int | None = None):
@@ -544,7 +544,7 @@ def triangle_free_process_scalar(n: int, seed: int, max_steps: int | None = None
     assert count_triangles(g) == 0
     stats = {"m_final": g.m, "steps": steps, "open_remaining": open_pairs,
              "maximal": open_pairs == 0}
-    return BaselineResult("triangle-free-process", n, seed, g, stats)
+    return BaselineResult(g, stats)
 
 
 # ------------------------------------------------------- edge-list files

@@ -217,7 +217,7 @@ def test_criterion_03_oracle_equivalence():
         def links_differ(live):
             h = TripleSystem.from_arrays(10, live, np.ones(len(live)))
             return any(lidx.link_edges(v)
-                       != set(map(tuple, extract_link(h, v).pairs.tolist()))
+                       != set(map(tuple, extract_link(h, v)[0].tolist()))
                        for v in range(10))
 
         if links_differ(picks):

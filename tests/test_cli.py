@@ -453,6 +453,28 @@ class TestDamagedSidecar:
         assert f"without {drop}" in err
 
     @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
+    @pytest.mark.parametrize("fmt", ["edgelist", "json"])
+    @pytest.mark.parametrize("key, value", [
+        ("eps1", 0.06), ("eps2", 0.05), ("C", 1000.0)])
+    def test_conventions_disagree(self, tmp_path, capsys, command, fmt, key,
+                                  value):
+        # eps1, eps2 and C are computed from epsilon; a record stating other
+        # values once verified with exit 0, and diagnose measured with them
+        if fmt == "json":
+            path = source = build_small(tmp_path, name="inst.json", fmt="json")
+        else:
+            path = build_small(tmp_path)
+            source = path + ".json"
+        payload = json.loads(open(source).read())
+        want = payload["params"][key]
+        payload["params"][key] = value
+        with open(source, "w") as fh:
+            fh.write(json.dumps(payload))
+        err = self.assert_error_exit([command, path], capsys)
+        assert err == (f"error: {source}: {key} = {value} is not the "
+                       f"convention's {want}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
     def test_short_placement(self, tmp_path, capsys, command):
         # 23 placed vertices cannot carry the file's 24-vertex graph
         path = self.damaged(tmp_path, lambda s: (s["placement"]["rows"].pop(),
@@ -525,6 +547,21 @@ class TestInduceOnce:
             assert run(argv) == 0
             assert capsys.readouterr().out == out
         assert json.loads(before[0])["checks"]["edges_rederivable"] is True
+
+    def test_verify_runs_one_placed_pass(self, tmp_path, monkeypatch):
+        # the placed counts of _assemble's stats also certify the edge count
+        path = build_small(tmp_path)
+        calls = []
+        real = construction.ColoredProductGraph.flag_counts
+
+        def counted(self, placement=None):
+            calls.append(placement is not None)
+            return real(self, placement)
+
+        monkeypatch.setattr(construction.ColoredProductGraph, "flag_counts",
+                            counted)
+        assert run(["verify", path]) == 0
+        assert calls.count(True) == 1
 
     def test_build_induces_once(self, tmp_path, monkeypatch):
         calls = []
@@ -724,6 +761,44 @@ class TestSweep:
         assert run(["sweep", "--n", "abc"]) == 2
         assert run(["sweep", "--n", "120", "--constructions", "wat",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestCountFlags:
+    """Count flags below their floor are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("flags", [
+        ["alpha", "{path}", "--method", "exact", "--budget", "-1"],
+        ["alpha", "{path}", "--method", "exact", "--budget", "0"],
+        ["alpha", "{path}", "--restarts", "-4"],
+        ["alpha", "{path}", "--restarts", "0"],
+        ["diagnose", "{path}", "--sets", "-3"],
+        ["sweep", "--n", "120", "--seeds", "-1", "--out", "{out}"],
+        ["sweep", "--n", "120", "--exact", "--budget", "0", "--out", "{out}"],
+        ["sweep", "--n", "20", "--constructions", "process",
+         "--max-steps", "-1", "--out", "{out}"],
+    ], ids=["budget-negative", "budget-0", "restarts-negative", "restarts-0",
+            "sets", "seeds", "sweep-budget", "max-steps"])
+    def test_below_floor(self, tmp_path, capsys, flags):
+        path, out = build_small(tmp_path), tmp_path / "keep.csv"
+        out.write_text("kept\n")
+        capsys.readouterr()
+        argv = [f.format(path=path, out=out) for f in flags]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is below" in captured.err
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["alpha", "{path}", "--method", "exact", "--budget", "1"],
+        ["alpha", "{path}", "--restarts", "1"],
+        ["diagnose", "{path}", "--sets", "0"],
+        ["sweep", "--n", "120", "--seeds", "0", "--out", "{out}"],
+        ["sweep", "--n", "20", "--constructions", "process",
+         "--max-steps", "0", "--out", "{out}"],
+    ], ids=["budget", "restarts", "sets", "seeds", "max-steps"])
+    def test_at_floor(self, tmp_path, flags):
+        path, out = build_small(tmp_path), tmp_path / "sweep.csv"
+        assert run([f.format(path=path, out=out) for f in flags]) == 0
 
 
 class TestConfig:

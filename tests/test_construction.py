@@ -105,6 +105,26 @@ class TestBaseGraphEdges:
             with pytest.raises(ValueError):
                 BaseGraph.from_edges("blue", 6, edges)
 
+    def test_rejects_non_square_adjacency(self):
+        for adj in (np.zeros((2, 3), bool), np.zeros(4, bool),
+                    np.zeros((2, 2, 2), bool)):
+            with pytest.raises(ValueError, match="not square"):
+                BaseGraph("red", adj)
+
+
+class TestGridSize:
+    def test_N_is_the_matrix_size(self):
+        # N is read off the matrices, never stored beside them
+        for N in (1, 2, 5, 9):
+            gr = BaseGraph.from_edges("red", N, [(0, 1)] if N > 1 else [])
+            gb = BaseGraph.from_edges("blue", N, [])
+            assert gr.N == gb.N == gr.adj.shape[0] == N
+            for g in (conormal_product(gr, gb),
+                      apply_deletion_rule(conormal_product(gr, gb), gr, gb)):
+                assert g.N == N
+                assert {m.shape for m in (g.red_row, g.red_col, g.blue_row,
+                                          g.blue_col)} == {(N, N)}
+
 
 class TestCommonNeighborMatrices:
     def test_common_vs_bruteforce(self):
@@ -683,7 +703,7 @@ class TestPlacedCounts:
                 g1, placement, placed_edge_array(g1, placement))
         assert seen_full >= 8
 
-    def test_placed_edges_are_matches_induce(self):
+    def test_edges_are_placed_matches_induce(self):
         rng = np.random.default_rng(42)
         cases = 0
         instances = list(random_builds(24, seed=43))
@@ -695,11 +715,11 @@ class TestPlacedCounts:
         for placed in instances:
             product, placement = placed.product, placed.placement
             edges = placed.graph.edge_array()
-            assert product.placed_edges_are(placement, edges)
+            assert placed.edges_are_placed(edges)
             assert placed_edges_by_induce(product, placement, edges)
             for kind, bad in tamperings(edges, placement.n, rng).items():
                 assert not placed_edges_by_induce(product, placement, bad), kind
-                assert not product.placed_edges_are(placement, bad), kind
+                assert not placed.edges_are_placed(bad), kind
                 cases += 1
         assert cases >= 100
 

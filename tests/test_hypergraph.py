@@ -228,7 +228,7 @@ def _system_from(triples, order, flag=RED):
 
 
 def _link_pairs(h, v):
-    return set(map(tuple, extract_link(h, v).pairs.tolist()))
+    return set(map(tuple, extract_link(h, v)[0].tolist()))
 
 
 class TestLinkIndex:
@@ -377,8 +377,7 @@ class TestS4Reduction:
         # every triple contributes one link edge at each of its vertices
         _, _, _, _, h2 = _pipeline(N=5, p=0.5, seed=6)
         for h in (h2, s4_reduction(h2)):
-            total = sum(extract_link(h, v).edge_count()
-                        for v in range(h.order))
+            total = sum(len(extract_link(h, v)[0]) for v in range(h.order))
             assert total == 3 * h.edge_count()
 
     def test_scan_uses_cells_when_placed(self):
@@ -405,15 +404,15 @@ class TestLinks:
         h = _system(6, [((0, 1, 2), RED), ((3, 0, 1), BLUE),
                         ((0, 2, 3), RED | BLUE),
                         ((1, 2, 3), RED)])  # not through 0
-        link = extract_link(h, 0)
-        assert dict(zip(map(tuple, link.pairs.tolist()), link.flags.tolist())) \
+        pairs, flags = extract_link(h, 0)
+        assert pairs.dtype == np.int64 and flags.dtype == np.uint8
+        assert dict(zip(map(tuple, pairs.tolist()), flags.tolist())) \
             == {(1, 2): RED, (1, 3): BLUE, (2, 3): RED | BLUE}
-        assert link.edge_count() == 3
         # the middle and last vertex of a triple as center
-        assert extract_link(h, 2).pairs.tolist() == [[0, 1], [0, 3], [1, 3]]
-        assert link.center == 0
-        gv = link.graph_view()
-        assert gv.m == 3
+        assert extract_link(h, 2)[0].tolist() == [[0, 1], [0, 3], [1, 3]]
+        # a link with no triples through its center is empty
+        pairs, flags = extract_link(h, 5)
+        assert pairs.shape == (0, 2) and flags.shape == (0,)
         with pytest.raises(ValueError):
             extract_link(h, 6)
 

@@ -16,7 +16,6 @@ class TestDerived:
         # frozen from an independent evaluation of the formulas
         par = derive_params(10000, epsilon=0.1, beta=0.5, kappa=1.1)
         assert par.N == 118
-        assert par.cells == 13924
         assert close(par.p, 0.015174271293851465)
         assert par.k == 334
         assert close(par.t1, 136.6850253785344)
@@ -177,6 +176,44 @@ class TestRecord:
         for key in ("n", "N", "p", "k", "t1", "t2", "t3", "C",
                     "beta", "kappa", "eps1", "eps2", "epsilon"):
             assert key in d
+
+    def test_record_key_order(self):
+        # the order of the params: lines in every text report
+        assert list(derive_params(500).to_dict()) == [
+            "n", "N", "p", "k", "epsilon", "eps1", "eps2", "beta", "kappa",
+            "t1", "t2", "t3", "C", "mode", "convention_eps",
+            "convention_rounding"]
+
+    def test_conventions_are_computed_not_stored(self):
+        names = {f.name for f in fields(Params)}
+        assert not names & {"eps1", "eps2", "C", "cells"}
+        for par in (derive_params(10000, epsilon=0.2),
+                    explicit_params(n=16, N=4, p=0.3, k=8, epsilon=0.2)):
+            assert (par.eps1, par.eps2, par.C) == \
+                (par.epsilon ** 3, par.epsilon ** 6, 3.0 * math.sqrt(20.0))
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps1", 0.06), ("eps2", 0.05), ("C", 1000.0), ("eps1", 0.1 ** 2),
+        ("eps2", 0.1 ** 3), ("C", 3.0 * math.sqrt(20.0) * (1 + 1e-9))])
+    def test_disagreeing_record_rejected(self, key, value):
+        d = derive_params(2000).to_dict()
+        d[key] = value
+        with pytest.raises(ValueError,
+                           match=f"^{key} = .* is not the convention's "):
+            Params.from_dict(d)
+
+    def test_record_agrees_up_to_rounding(self):
+        # a C library may round ** differently in the last bit
+        par = derive_params(10000, epsilon=0.15)
+        d = par.to_dict()
+        for key in ("eps1", "eps2", "C"):
+            d[key] = math.nextafter(d[key], math.inf)
+        assert Params.from_dict(d) == par
+        for key in ("eps1", "eps2", "C"):
+            short = dict(d)
+            del short[key]
+            with pytest.raises(KeyError):
+                Params.from_dict(short)
 
     def test_frozen(self):
         par = derive_params(500)
