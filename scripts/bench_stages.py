@@ -28,7 +28,11 @@ equals derive_params wherever that is buildable), the file records:
   sets (sample_k_sets(..., n_random=5, seed=0)), in process, with the
   sha256 of their to_dict() values;
 - triple systems: CLI hyper --explicit and verify on its file at each of
-  HYPER_SHAPES, with the sha256 of the written files and of verify --json.
+  HYPER_SHAPES, with the sha256 of the written files and of verify --json;
+- exact alpha: independence.independence_exact, in process, on EXACT_SHAPES
+  (each built by construction.build at its seeds): the time of all the
+  seeds of a shape, their node counts, values and optimal flags, and the
+  sha256 of their certificates.
 
 Each figure is the median of REPEATS runs.  --src picks the tree whose
 package is timed (default: this checkout's src/), so one script compares
@@ -55,6 +59,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (2000, 10000, 30000)
 # (N, n, p, k): the explicit triple-system shapes of perfbench's desk workload
 HYPER_SHAPES = ((7, 40, 0.3, 10), (8, 50, 0.3, 12))
+# (n, N, p, k, seeds): pool seeds 0-7 of perfbench's desk exact-alpha
+# instances, and one n = 200 instance
+EXACT_SHAPES = ((120, 12, 0.3, 20, range(8)), (200, 15, 0.3, 30, (0,)))
 REPEATS = 3
 
 MACHINE = """
@@ -129,6 +136,24 @@ t1 = perf_counter()
 rebuild(read_instance(sys.argv[1]))
 t2 = perf_counter()
 print(json.dumps({"read_instance": t1 - t0, "rebuild_read": t2 - t1}))
+"""
+
+EXACT = """
+import hashlib, json, sys
+from time import perf_counter
+from trioverlay.construction import build
+from trioverlay.independence import independence_exact
+from trioverlay.params import explicit_params
+n, N, p, k, *seeds = json.loads(sys.argv[1])
+graphs = [build(explicit_params(n=n, N=N, p=p, k=k), s).graph for s in seeds]
+t0 = perf_counter()
+results = [independence_exact(g) for g in graphs]
+t1 = perf_counter()
+certs = json.dumps([r.certificate for r in results]).encode()
+print(json.dumps({"exact": t1 - t0, "nodes": [r.nodes for r in results],
+                  "values": [r.value for r in results],
+                  "optimal": [r.optimal for r in results],
+                  "certificates_sha256": hashlib.sha256(certs).hexdigest()}))
 """
 
 
@@ -209,6 +234,17 @@ def bench_hyper(env, shape: tuple, work: Path) -> dict:
             "json_stdout_sha256": stdout_digests(env, work, verify, "--json")}
 
 
+def bench_exact(env, shape: tuple, work: Path) -> dict:
+    n, N, p, k, seeds = shape
+    arg = json.dumps([n, N, p, k, *seeds])
+    runs = [json.loads(python(env, work, "-c", EXACT, arg))
+            for _ in range(REPEATS)]
+    return {"n": n, "N": N, "p": p, "k": k, "seeds": list(seeds),
+            "stage_s": medians(runs, ("exact",)),
+            **{key: runs[0][key] for key in ("nodes", "values", "optimal",
+                                             "certificates_sha256")}}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
@@ -217,7 +253,8 @@ def main() -> None:
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     report = {"label": args.label, "seed": 0, "repeats": REPEATS,
               **json.loads(python(env, ROOT, "-c", MACHINE)),
-              "blas_threads": int(THREADS), "sizes": [], "hyper": []}
+              "blas_threads": int(THREADS), "sizes": [], "hyper": [],
+              "exact": []}
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
             report["sizes"].append(bench_size(env, n, Path(work)))
@@ -225,6 +262,9 @@ def main() -> None:
         for shape in HYPER_SHAPES:
             report["hyper"].append(bench_hyper(env, shape, Path(work)))
             print(json.dumps(report["hyper"][-1]), file=sys.stderr)
+        for shape in EXACT_SHAPES:
+            report["exact"].append(bench_exact(env, shape, Path(work)))
+            print(json.dumps(report["exact"][-1]), file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)

@@ -220,7 +220,7 @@ def _cells(I, placement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """I as a 1-D int64 array of distinct ids in 0..n-1, else ValueError,
     with the rows and the columns of its cells."""
     I = np.asarray(I, dtype=np.int64)
-    if I.ndim != 1 or np.unique(I).size != I.size:
+    if I.ndim != 1 or not np.diff(np.sort(I)).all():
         raise ValueError("I must be a set of distinct vertices")
     if I.size and (I.min() < 0 or I.max() >= placement.n):
         raise ValueError("vertex out of range")

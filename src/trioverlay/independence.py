@@ -1,9 +1,14 @@
 """Independent set solvers.
 
 Exact: branch and bound for a maximum clique of the complement graph, with a
-greedy coloring bound and Python-int bitset adjacency.  The node budget makes
-runs deterministic and interruptible; on exhaustion the incumbent (always a
-valid independent set) is returned with optimal=False.
+greedy coloring bound and Python-int bitset adjacency (after San Segundo et
+al., "An exact bit-parallel algorithm for the maximum clique problem").  A
+colour class of the complement is a clique of the graph, so the colouring
+runs on the graph's own adjacency rows, and no complement row is built.
+Classes 1..kmin, kmin = best - |R|, are coloured but never branched on: the
+incumbent only grows, so the bound would prune each of them.  The node budget
+makes runs deterministic and interruptible; on exhaustion the incumbent
+(always a valid independent set) is returned with optimal=False.
 
 Heuristic: best of the max-degree neighborhood (independent whenever the
 graph is triangle-free, which gives alpha >= max degree there) and repeated
@@ -75,16 +80,17 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
     if n == 0:
         return IndependenceResult([], True, 0)
     adj = _bitmask_rows(g)
-    full = (1 << n) - 1
-    comp = [full ^ adj[v] ^ (1 << v) for v in range(n)]
 
     # greedy seed so the incumbent is meaningful even on budget exhaustion
     seed_res = independence_greedy(g, restarts=1, seed=0)
     best = [seed_res.value, list(seed_res.certificate)]
     nodes = [0]
 
-    def color_sort(cand: int):
-        """Vertices of cand with greedy clique-cover colors, ascending."""
+    def color_sort(cand: int, kmin: int):
+        """Vertices of cand with greedy clique-cover colors, ascending, but
+        only those of colors above kmin: the loop in expand would prune the
+        rest.  Each class is a clique of g, taken greedily from its lowest
+        uncolored vertex."""
         order, colors = [], []
         uncolored = cand
         color = 0
@@ -92,13 +98,13 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
             color += 1
             q = uncolored
             while q:
-                v = (q & -q).bit_length() - 1
-                bit = 1 << v
-                q &= ~comp[v]
-                q &= ~bit
-                uncolored &= ~bit
-                order.append(v)
-                colors.append(color)
+                bit = q & -q
+                v = bit.bit_length() - 1
+                q &= adj[v]
+                uncolored ^= bit
+                if color > kmin:
+                    order.append(v)
+                    colors.append(color)
         return order, colors
 
     def expand(r_size: int, r_mask: int, cand: int):
@@ -110,18 +116,18 @@ def independence_exact(g: SimpleGraphView, budget: int = DEFAULT_BUDGET) -> Inde
                 best[0] = r_size
                 best[1] = [v for v in range(n) if (r_mask >> v) & 1]
             return
-        order, colors = color_sort(cand)
+        order, colors = color_sort(cand, best[0] - r_size)
         for i in range(len(order) - 1, -1, -1):
             if r_size + colors[i] <= best[0]:
                 return
             v = order[i]
             bit = 1 << v
-            expand(r_size + 1, r_mask | bit, cand & comp[v])
-            cand &= ~bit
+            expand(r_size + 1, r_mask | bit, (cand & ~adj[v]) ^ bit)
+            cand ^= bit
 
     optimal = True
     try:
-        expand(0, 0, full)
+        expand(0, 0, (1 << n) - 1)
     except _Budget:
         optimal = False
     cert = sorted(best[1])

@@ -101,17 +101,31 @@ class Params:
     @classmethod
     def from_dict(cls, d: dict) -> "Params":
         # re-check all but grid capacity (a derived record may describe a
-        # non-injectable bundle); eps1, eps2 and C match up to ** rounding
+        # non-injectable bundle); eps1, eps2 and C, and a derived or clamped
+        # record's formula values, match up to ** rounding
         par = _validate(cls(**{f.name: d[f.name] for f in fields(cls)}))
         for key in ("eps1", "eps2", "C"):
             if not math.isclose(d[key], getattr(par, key), rel_tol=1e-12):
                 raise ValueError(f"{key} = {d[key]} is not the convention's "
                                  f"{getattr(par, key)}")
+        if par.mode != "explicit":
+            want = derive_params(par.n, par.epsilon, par.beta, par.kappa)
+            if par.mode == "clamped":
+                want = replace(want, N=math.ceil(math.sqrt(par.n)))
+            for key in ("N", "k", "p", "t1", "t2", "t3"):
+                got, formula = getattr(par, key), getattr(want, key)
+                tol = 0.0 if key in ("N", "k") else 1e-12
+                if not math.isclose(got, formula, rel_tol=tol):
+                    raise ValueError(f"{key} = {got} is not the {par.mode} "
+                                     f"formula's {formula}")
         return par
 
 
 def _validate(par: Params) -> Params:
     """par, after the checks every bundle passes; grid capacity is not one."""
+    if par.mode not in ("derived", "clamped", "explicit"):
+        raise ValueError(f"mode = {par.mode!r} is not derived, clamped or "
+                         "explicit")
     if par.n < 1:
         raise ValueError(f"n = {par.n} must be positive")
     if par.N < 2:

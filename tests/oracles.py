@@ -334,6 +334,71 @@ def alpha_bruteforce(n: int, edges) -> int:
     return out
 
 
+def independence_exact_complement(g, budget: int = 10_000_000):
+    """The exact solver colouring on complement rows and listing every
+    coloured vertex: the same search tree as independence_exact."""
+    from trioverlay.independence import (IndependenceResult, _bitmask_rows,
+                                         _Budget, independence_greedy,
+                                         is_independent_set)
+    n = g.n
+    if n == 0:
+        return IndependenceResult([], True, 0)
+    adj = _bitmask_rows(g)
+    full = (1 << n) - 1
+    comp = [full ^ adj[v] ^ (1 << v) for v in range(n)]
+
+    # greedy seed so the incumbent is meaningful even on budget exhaustion
+    seed_res = independence_greedy(g, restarts=1, seed=0)
+    best = [seed_res.value, list(seed_res.certificate)]
+    nodes = [0]
+
+    def color_sort(cand: int):
+        """Vertices of cand with greedy clique-cover colors, ascending."""
+        order, colors = [], []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            q = uncolored
+            while q:
+                v = (q & -q).bit_length() - 1
+                bit = 1 << v
+                q &= ~comp[v]
+                q &= ~bit
+                uncolored &= ~bit
+                order.append(v)
+                colors.append(color)
+        return order, colors
+
+    def expand(r_size: int, r_mask: int, cand: int):
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise _Budget
+        if cand == 0:
+            if r_size > best[0]:
+                best[0] = r_size
+                best[1] = [v for v in range(n) if (r_mask >> v) & 1]
+            return
+        order, colors = color_sort(cand)
+        for i in range(len(order) - 1, -1, -1):
+            if r_size + colors[i] <= best[0]:
+                return
+            v = order[i]
+            bit = 1 << v
+            expand(r_size + 1, r_mask | bit, cand & comp[v])
+            cand &= ~bit
+
+    optimal = True
+    try:
+        expand(0, 0, full)
+    except _Budget:
+        optimal = False
+    cert = sorted(best[1])
+    if not is_independent_set(g, cert):
+        raise AssertionError("exact solver produced an invalid certificate")
+    return IndependenceResult(cert, optimal, nodes[0])
+
+
 # ------------------------------------------------------------ star scan
 
 

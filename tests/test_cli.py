@@ -474,6 +474,24 @@ class TestDamagedSidecar:
         assert err == (f"error: {source}: {key} = {value} is not the "
                        f"convention's {want}\n")
 
+    @pytest.mark.parametrize("edit, key", [
+        ({"p": 0.5, "t1": 60}, "p"), ({"t1": 60}, "t1"), ({"k": 700}, "k"),
+        ({"N": 46}, "N"), ({"t3": 4.5}, "t3")])
+    def test_formula_values_disagree(self, tmp_path, capsys, edit, key):
+        # a clamped record's N, p, k and cutoffs follow from (n, epsilon,
+        # beta, kappa); one stating p = 0.5 once verified with exit 0
+        path = str(tmp_path / "g.edges")
+        assert run(["build", "--n", "2000", "--clamp", "--seed", "0",
+                    "--out", path]) == 0
+        payload = json.loads(open(path + ".json").read())
+        want = payload["params"][key]
+        payload["params"].update(edit)
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(payload))
+        err = self.assert_error_exit(["verify", path], capsys)
+        assert err == (f"error: {path}.json: {key} = {edit[key]} is not the "
+                       f"clamped formula's {want}\n")
+
     @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
     def test_short_placement(self, tmp_path, capsys, command):
         # 23 placed vertices cannot carry the file's 24-vertex graph

@@ -513,6 +513,15 @@ class TestInjection:
         with pytest.raises(ValueError):
             Placement(2, np.array([0, 2]), np.array([0, 0]))
 
+    def test_injectivity_enforced_at_scale(self):
+        # one repeated cell, at the last index of an n = 10^5 placement
+        pl = sample_injection(derive_params(100_000), 0)
+        rows, cols = pl.rows.copy(), pl.cols.copy()
+        rows[-1], cols[-1] = rows[0], cols[0]
+        with pytest.raises(ValueError, match="^placement is not injective$"):
+            Placement(pl.N, rows, cols)
+        assert Placement(pl.N, pl.rows, pl.cols).n == 100_000
+
     def test_range_checked_before_injectivity_and_narrowing(self):
         # (0, 3) is out of range, not a second copy of cell id 3 = (1, 0)
         with pytest.raises(ValueError, match="cell out of range"):

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import (alpha_bruteforce, bitmask_rows_loop,
-                     greedy_min_degree_heap, swap_improve_loop)
+                     greedy_min_degree_heap, independence_exact_complement,
+                     swap_improve_loop)
 from trioverlay import independence
 from trioverlay.construction import build, child_rng
 from trioverlay.graphview import SimpleGraphView, count_triangles
@@ -63,6 +67,33 @@ class TestExact:
         res = independence_exact(g)
         assert res.value == 2
         assert set(res.certificate) < set(range(4))
+
+    @staticmethod
+    def assert_same_search(g, budget):
+        got = independence_exact(g, budget=budget)
+        want = independence_exact_complement(g, budget=budget)
+        assert (got.certificate, got.optimal, got.nodes) == \
+            (want.certificate, want.optimal, want.nodes)
+
+    @pytest.mark.parametrize("budget", [1, 5, 37, 10_000_000])
+    def test_same_search_as_complement_colouring(self, budget):
+        # same tree: same incumbents, same node count, same budget cut
+        rng = np.random.default_rng(32)
+        for _ in range(400):
+            n = int(rng.integers(1, 61))
+            g = random_graph(rng, n, float(rng.random()) ** 2)
+            self.assert_same_search(g, budget)
+
+    @pytest.mark.parametrize("seed, nodes", enumerate(
+        [3775, 64, 37, 6, 1161, 824, 488, 6]))
+    def test_pool_seeds_pinned(self, seed, nodes):
+        # the benchmark's exact-alpha pool: optima solved apart from this code
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "exact_alpha.json"
+        alpha = json.loads(ref.read_text())["alpha"][str(seed)]
+        g = build(explicit_params(n=120, N=12, p=0.3, k=20), seed).graph
+        res = independence_exact(g)
+        assert (res.value, res.optimal, res.nodes) == (alpha, True, nodes)
+        self.assert_same_search(g, 10_000_000)
 
 
 class TestGreedy:

@@ -202,6 +202,32 @@ class TestRecord:
                            match=f"^{key} = .* is not the convention's "):
             Params.from_dict(d)
 
+    @pytest.mark.parametrize("key", ["N", "k", "p", "t1", "t2", "t3"])
+    def test_derived_record_follows_its_formulas(self, key):
+        par = derive_params(10000, epsilon=0.15)
+        d = par.to_dict()
+        if key in ("N", "k"):
+            d[key] += 1
+        else:
+            d[key] = math.nextafter(d[key], math.inf)
+            Params.from_dict(d)  # one ulp: ** rounding
+            d[key] *= 1 + 1e-9
+        with pytest.raises(ValueError,
+                           match=f"^{key} = .* is not the derived formula's "):
+            Params.from_dict(d)
+        # an explicit record states its own values
+        explicit = explicit_params(n=16, N=4, p=0.3, k=8).to_dict()
+        explicit[key] += 1 if key in ("N", "k") else 1e-3
+        Params.from_dict(explicit)
+
+    def test_unknown_mode_rejected(self):
+        # a mode outside the three would skip the formula check
+        d = derive_params(10000).to_dict()
+        d["mode"], d["p"] = "bogus", 0.5
+        with pytest.raises(ValueError,
+                           match="^mode = 'bogus' is not derived, clamped or "):
+            Params.from_dict(d)
+
     def test_record_agrees_up_to_rounding(self):
         # a C library may round ** differently in the last bit
         par = derive_params(10000, epsilon=0.15)
