@@ -16,10 +16,9 @@ equals derive_params wherever that is buildable), the file records:
   construction.rebuild(read_instance(path)), in a fresh interpreter;
 - per stage: the induce (construction._placed_adjacency), the CSR
   (graphview.from_edge_arrays), the check that the CSR's edge array is the
-  placed graph (row placed_edges_are: PlacedGraph.edges_are_placed, or
-  ColoredProductGraph.placed_edges_are in a tree without it), the triangle
-  count (graphview.count_triangles), the factorized triangle certificate
-  (ColoredProductGraph.triangle_certificate; null in a tree without it),
+  placed graph (row placed_edges_are: PlacedGraph.edges_are_placed), the
+  triangle count (graphview.count_triangles), the factorized triangle
+  certificate (ColoredProductGraph.triangle_certificate),
   greedy alpha (independence.independence_greedy, 1 and 3 restarts) and
   its swap step alone (independence._swap_improve on one min-degree pass),
   in process, with the greedy values and the sha256 of the 3-restart
@@ -89,10 +88,7 @@ t2 = perf_counter()
 edges = graph.edge_array()
 placed = c._assemble(par, 0, gr, gb, placement, graph)
 t3 = perf_counter()
-if hasattr(placed, "edges_are_placed"):
-    assert placed.edges_are_placed(edges)
-else:
-    assert g2.placed_edges_are(placement, edges)
+assert placed.edges_are_placed(edges)
 t4 = perf_counter()
 assert count_triangles(graph) == 0
 t5 = perf_counter()
@@ -104,10 +100,8 @@ chosen = ind._greedy_min_degree(graph, c.child_rng(0, c.STREAM_GREEDY))
 t8 = perf_counter()
 ind._swap_improve(graph, chosen)
 t9 = perf_counter()
-certificate = None
-if hasattr(g2, "triangle_certificate"):
-    assert g2.triangle_certificate() == 0
-    certificate = perf_counter() - t9
+assert g2.triangle_certificate() == 0
+certificate = perf_counter() - t9
 sets = an.sample_k_sets(placed, n_random=5, seed=0)
 t10 = perf_counter()
 classified = [an.classify_sets(I, placed).to_dict() for _, I in sets]
@@ -190,8 +184,8 @@ def digests(path: Path) -> dict:
 
 
 def medians(runs: list, keys) -> dict:
-    return {key: None if runs[0][key] is None else
-            round(statistics.median(r[key] for r in runs), 4) for key in keys}
+    return {key: round(statistics.median(r[key] for r in runs), 4)
+            for key in keys}
 
 
 def bench_size(env, n: int, work: Path) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import (STREAM_K_SETS, PlacedGraph, child_rng,
+from .construction import (STREAM_K_SETS, PlacedGraph, Placement, child_rng,
                            common_neighbor_matrix, count_matmul,
                            upper_neighborhoods)
 
@@ -111,8 +111,7 @@ def concentration_report(gr, gb, placement, params, eps2: float | None = None,
     log2n, log3n = params.log2n, math.log(n) ** 3
     pn, pN = params.pn, params.pN
 
-    occ = np.zeros((N, N), dtype=np.float32)
-    occ[placement.rows, placement.cols] = 1
+    occ = placement.occupancy()
     fib_rows = np.bincount(placement.rows, minlength=N)
     fib_cols = np.bincount(placement.cols, minlength=N)
 
@@ -276,8 +275,7 @@ def classify_sets(I, instance: PlacedGraph) -> SetClassification:
                    for nm, mem in class_members.items()}
 
     # projection sums over the huge class (diagnostics for the budget bounds)
-    occI = np.zeros((N, N), dtype=np.float32)
-    np.add.at(occI, (rows, cols), 1)
+    occI = Placement(N, rows, cols).occupancy()
     projB_of_rowbox = (count_matmul(arf, occI) > 0).sum(axis=1)
     projR_of_rowbox = count_matmul(arf, rowcnt > 0)
     projR_of_colbox = (count_matmul(occI, abf) > 0).sum(axis=0)

@@ -501,7 +501,7 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, OSError, AssertionError) as exc:
+    except (ValueError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MemoryError, RecursionError) as exc:

@@ -219,8 +219,7 @@ class ColoredProductGraph:
             ordered = [int(np.count_nonzero(r)) * int(np.count_nonzero(c))
                        for r, c in factors]
         else:
-            occ = np.zeros((self.N, self.N), dtype=np.float32)
-            occ[placement.rows, placement.cols] = 1
+            occ = placement.occupancy()
             ordered = [int((count_matmul(count_matmul(r, occ), c.T) * occ)
                            .sum(dtype=np.float64)) for r, c in factors]
         # ordered pairs count each unordered cell pair twice
@@ -261,9 +260,8 @@ class ColoredProductGraph:
 
     def cell_graph(self) -> SimpleGraphView:
         """SimpleGraphView over all N^2 cells (red or blue flag = edge)."""
-        ids = np.arange(self.cells)
-        us, vs = _placed_adjacency(self, Placement(self.N, ids // self.N,
-                                                   ids % self.N))
+        grid = Placement(self.N, *np.divmod(np.arange(self.cells), self.N))
+        us, vs = _placed_adjacency(self, grid)
         return SimpleGraphView.from_edge_arrays(self.cells, us, vs)
 
 
@@ -341,14 +339,20 @@ class Placement:
     def cell_of(self, v: int) -> tuple[int, int]:
         return int(self.rows[v]), int(self.cols[v])
 
+    def occupancy(self) -> np.ndarray:
+        """N x N float32 0/1 matrix: 1 on the placed cells."""
+        occ = np.zeros((self.N, self.N), dtype=np.float32)
+        occ[self.rows, self.cols] = 1
+        return occ
 
-def sample_injection(params: Params, seed: int) -> Placement:
+
+def sample_injection(params: Params, seed: int,
+                     stream: int = STREAM_PHI) -> Placement:
     """Uniform random injection of {0..n-1} into the cells."""
     params.require_injectable()
-    rng = child_rng(seed, STREAM_PHI)
-    cells = rng.choice(params.N * params.N, size=params.n, replace=False)
-    return Placement(params.N, (cells // params.N).astype(np.int32),
-                     (cells % params.N).astype(np.int32))
+    cells = child_rng(seed, stream).choice(params.N * params.N, size=params.n,
+                                           replace=False)
+    return Placement(params.N, *np.divmod(cells, params.N))
 
 
 @dataclass

@@ -9,8 +9,8 @@ a common center (the forbidden star; equivalently, every vertex link is
 triangle-free).
 
 Passes, in order, each scanning triples lexicographically by their sorted
-cell coordinates (vertex ids when no placement is attached, and to break
-ties between triples on the same cells):
+cell ids, row * N + col (vertex ids when no placement is attached); placed
+vertices sit on distinct cells, so no two triples tie:
 
   (a) red flags are kept greedily unless they close an all-red star;
   (b) blue flags likewise against the blue flags kept so far;
@@ -32,10 +32,11 @@ order^3 would overflow.
   - ``hyper_product`` broadcasts the base triples against the N(N-1)(N-2)
     ordered coordinate triples; ``from_arrays`` merges equal cell triples,
     so a triple that is both red and blue comes out dual.
-  - ``inject_hyper`` gathers each cell triple through a cell -> vertex
-    array and keeps the rows whose three cells are all placed.
+  - ``inject_hyper`` draws ``sample_injection`` on its own stream, gathers
+    each cell triple through a cell -> vertex array and keeps the rows
+    whose three cells are all placed.
   - ``s4_reduction`` scans the rows in their own order, or, when cells are
-    attached, in one stable ``np.lexsort`` by sorted cells.  Passes (a)
+    attached, in one ``np.lexsort`` by sorted cell ids.  Passes (a)
     and (b) are sequential: a Python loop over the rows with per-center link
     bitsets.  Passes (c) and (d) enumerate the star copies of the surviving
     triples once each (``_star_copies``, in blocks of bounded size).
@@ -57,7 +58,8 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from .construction import (STREAM_HYPER_BLUE, STREAM_HYPER_PHI,
-                           STREAM_HYPER_RED, child_rng)
+                           STREAM_HYPER_RED, Placement, child_rng,
+                           sample_injection)
 from .params import Params
 
 __all__ = [
@@ -96,13 +98,15 @@ class TripleSystem:
     triples: np.ndarray  # (m, 3) int64
     flags: np.ndarray  # (m,) uint8
     kind: str = "base"
-    cells: np.ndarray | None = None  # (order, 2) row/col provenance, optional
+    cells: Placement | None = None  # the cell of each vertex, optional
 
     @classmethod
     def from_arrays(cls, order: int, triples, flags, kind: str = "base",
-                    cells: np.ndarray | None = None) -> TripleSystem:
+                    cells: Placement | None = None) -> TripleSystem:
         """The system holding the (m, 3) triples, in any row and vertex
         order, with the m flags; a repeated triple ORs its flags."""
+        if cells is not None and cells.n != order:
+            raise ValueError(f"cells place {cells.n} vertices, not {order}")
         t = np.sort(np.asarray(triples, dtype=np.int64).reshape(-1, 3), axis=1)
         f = np.asarray(flags, dtype=np.int64).reshape(-1)
         if len(f) != len(t):
@@ -167,21 +171,18 @@ def hyper_product(hr: TripleSystem, hb: TripleSystem) -> TripleSystem:
         (ordered[None, :, :] * N + hb.triples[:, None, :]).reshape(-1, 3)])
     flag = np.repeat([RED, BLUE], [hr.edge_count() * len(ordered),
                                    hb.edge_count() * len(ordered)])
-    cells = np.column_stack(np.divmod(np.arange(N * N, dtype=np.int64), N))
-    return TripleSystem.from_arrays(N * N, cell, flag, kind="product",
-                                    cells=cells)
+    return TripleSystem.from_arrays(
+        N * N, cell, flag, kind="product",
+        cells=Placement(N, *np.divmod(np.arange(N * N), N)))
 
 
 def inject_hyper(h1: TripleSystem, params: Params, seed: int) -> TripleSystem:
     """Uniform injection of {0..n-1} into cells; keep fully placed triples."""
-    params.require_injectable()
     if h1.order != params.N * params.N:
         raise ValueError("product order does not match params")
-    rng = child_rng(seed, STREAM_HYPER_PHI)
-    cell_ids = rng.choice(h1.order, size=params.n, replace=False)
+    cells = sample_injection(params, seed, stream=STREAM_HYPER_PHI)
     vertex_of = np.full(h1.order, -1, dtype=np.int64)
-    vertex_of[cell_ids] = np.arange(params.n)
-    cells = np.column_stack([cell_ids // params.N, cell_ids % params.N]).astype(np.int64)
+    vertex_of[cells.cell_ids()] = np.arange(params.n)
     placed = vertex_of[h1.triples]
     kept = (placed >= 0).all(axis=1)
     return TripleSystem.from_arrays(params.n, placed[kept], h1.flags[kept],
@@ -248,10 +249,8 @@ def s4_reduction(h2: TripleSystem) -> TripleSystem:
     """Four-pass flag removal; the result carries no star on any center."""
     order = h2.order
     triples, flags = h2.triples, h2.flags
-    if h2.cells is not None:  # by sorted cells; equal cells rank equal
-        rank = np.unique(h2.cells, axis=0, return_inverse=True)[1].reshape(-1)
-        # stable, so the rows' own lexicographic order breaks ties
-        scan = np.lexsort(np.sort(rank[triples], axis=1).T[::-1])
+    if h2.cells is not None:  # by sorted cell ids, distinct for each row
+        scan = np.lexsort(np.sort(h2.cells.cell_ids()[triples], axis=1).T[::-1])
         triples, flags = triples[scan], flags[scan]
 
     # passes (a) and (b): each color's flags greedily, in scan order

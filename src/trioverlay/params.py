@@ -156,14 +156,15 @@ def derive_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
     """
     if n < 100:
         raise ValueError(f"derived mode needs n >= 100, got {n}")
+    # before the cutoffs: n ** (0.25 + epsilon) overflows at a large epsilon
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon = {epsilon} outside (0, 1)")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta = {beta} outside (0, 1)")
     if kappa is None:
         kappa = 1.0 + epsilon
-    if kappa < 1.0:
-        raise ValueError(f"kappa = {kappa} must be >= 1")
+    if not (1.0 <= kappa < math.inf):  # NaN and inf fail: k must be an int
+        raise ValueError(f"kappa = {kappa} must be finite and >= 1")
     ln = math.log(n)
     par = Params(
         n=n,

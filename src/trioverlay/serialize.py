@@ -15,7 +15,8 @@ one deterministic file: keys sorted, newline-terminated.
 
 Reading is where file layouts become program objects, checked once: a
 graph record's provenance is (BaseGraph, BaseGraph, Placement), whole and
-with params or absent, and a triple record holds its TripleSystem.
+with params or absent, and a triple record holds its TripleSystem, whose
+cells are a Placement read the same way.  Their errors name the file.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class InstanceRecord:
             self.n, self.edges[:, 0], self.edges[:, 1])
 
 
-# the sidecar keys of a graph's provenance: all of them with params, or none
-_PROVENANCE = ("base_red_edges", "base_blue_edges", "placement")
+# a record's provenance keys, by kind: all of them with params, or none
+_PROVENANCE = {"graph": ("base_red_edges", "base_blue_edges", "placement"),
+               "triples": ("cells",)}
 
 
 # triple colors: the character of flag bits f (1 red, 2 blue, 3 both) is
@@ -124,14 +126,11 @@ def triple_record(h: TripleSystem, params: Params | None = None, seed: int = 0,
 def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
     """The key of rec's entries, the entries as one (m, w) int64 array
     (0-based; w = 2 for edges, 3 for triples) and rec's sidecar payload;
-    ValueError for a graph record with provenance but no params."""
+    ValueError for a record with provenance but no params."""
     if rec.kind == "graph":
         key, entries = "edges", rec.edges
-        extra = dict.fromkeys(_PROVENANCE)
+        extra = dict.fromkeys(_PROVENANCE["graph"])
         if rec.provenance is not None:
-            if rec.params is None:  # a file the reader rejects
-                raise ValueError("partial provenance: holds "
-                                 f"{', '.join(_PROVENANCE)} without params")
             red, blue, placement = rec.provenance
             extra = {"base_red_edges": red.edge_array(),
                      "base_blue_edges": blue.edge_array(),
@@ -140,10 +139,15 @@ def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
     elif rec.kind == "triples":
         h = rec.system
         key, entries = "triples", h.triples
-        extra = {"system_kind": h.kind, "cells": h.cells,
+        extra = {"system_kind": h.kind, "cells": None if h.cells is None
+                 else np.column_stack([h.cells.rows, h.cells.cols]),
                  "colors": _COLOR_OF_FLAG[h.flags].tobytes().decode()}
     else:
         raise ValueError(f"unknown record kind {rec.kind!r}")
+    held = [k for k in _PROVENANCE[rec.kind] if extra[k] is not None]
+    if held and rec.params is None:  # a file the reader rejects
+        raise ValueError(f"partial provenance: holds {', '.join(held)} "
+                         "without params")
     entries = np.asarray(entries, dtype=np.int64)
     return key, entries, {
         "kind": rec.kind, "n": rec.n, "m": len(entries), "seed": rec.seed,
@@ -207,32 +211,37 @@ def _entries(raw, width: int, name: str) -> np.ndarray:
     if arr.size == 0:
         return arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"entries must have {width} endpoints each")
+        raise ValueError(f"{name} must have {width} values per row")
     return arr
 
 
-def _provenance(payload: dict, params: Params | None, n: int, source: str):
-    """The (base_red, base_blue, placement) of a graph payload, or None when
-    it holds none of them; ValueError naming source when it holds only some,
-    or holds them without params."""
-    held = [key for key in _PROVENANCE if payload.get(key) is not None]
+def _provenance(payload: dict, kind: str, params: Params | None, n: int):
+    """A payload's provenance, a graph's (base_red, base_blue, placement) or
+    a triple system's cells as a Placement; None without any of its kind's
+    keys, ValueError with only some of them, or with them but no params."""
+    keys = _PROVENANCE[kind]
+    held = [key for key in keys if payload.get(key) is not None]
     if not held:
         return None
-    missing = [key for key in ("params", *_PROVENANCE)
-               if payload.get(key) is None]
+    missing = [key for key in ("params", *keys) if payload.get(key) is None]
     if missing:
-        raise ValueError(f"{source}: partial provenance: holds "
+        raise ValueError("partial provenance: holds "
                          f"{', '.join(held)} without {', '.join(missing)}")
-    N = params.N
-    red, blue = (BaseGraph.from_edges(side, N, _entries(payload[key], 2, key))
-                 for side, key in (("red", "base_red_edges"),
-                                   ("blue", "base_blue_edges")))
-    placed = payload["placement"]
-    placement = Placement(N, _int_array(placed["rows"], "placement rows"),
-                          _int_array(placed["cols"], "placement cols"))
+    if kind == "triples":  # [[row, col], ...]
+        rows, cols = _entries(payload["cells"], 2, "cells").T
+    else:
+        rows, cols = (_int_array(payload["placement"][key], f"placement {key}")
+                      for key in ("rows", "cols"))
+    placement = Placement(params.N, rows, cols)
     if placement.n != n:
         raise ValueError(f"placement holds {placement.n} vertices, "
                          f"the instance {n}")
+    if kind == "triples":
+        return placement
+    red, blue = (BaseGraph.from_edges(side, params.N,
+                                      _entries(payload[key], 2, key))
+                 for side, key in (("red", "base_red_edges"),
+                                   ("blue", "base_blue_edges")))
     return red, blue, placement
 
 
@@ -241,11 +250,14 @@ def _from_payload(payload: dict, source: str, body: np.ndarray | None = None):
     entry lines of an edge-list file, else the entries come from the payload
     itself."""
     kind = payload.get("kind", "graph")
+    if kind not in _PROVENANCE:
+        raise ValueError(f"unknown record kind {kind!r}")
     n = _integer(payload["n"], "n")
     seed = _integer(payload.get("seed", 0), "seed")
-    params = payload.get("params")
-    try:
+    try:  # params and provenance: an error names the file
+        params = payload.get("params")
         params = None if params is None else Params.from_dict(params)
+        placed = _provenance(payload, kind, params, n)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     stats = payload.get("stats") or {}
@@ -256,37 +268,30 @@ def _from_payload(payload: dict, source: str, body: np.ndarray | None = None):
             raise ValueError("edge endpoint out of range")
         if len(edges) and not (edges[:, 0] < edges[:, 1]).all():
             raise ValueError("edges must satisfy u < v")
-        return InstanceRecord(
-            n=n, seed=seed, edges=edges, params=params,
-            provenance=_provenance(payload, params, n, source), stats=stats)
-    if kind == "triples":
-        raw = payload.get("triples", []) if body is None else body
-        entries = _entries(raw, 3, "triples")
-        a, b, c = entries.T
-        bad = (entries.min(axis=1) < 1) | (entries.max(axis=1) > n) \
-            | (a == b) | (b == c) | (a == c)
-        if bad.any():  # named as the file writes it, 1-based
-            line = tuple(entries[bad.argmax()].tolist())
-            raise ValueError(f"bad triple {line}")
-        colors = payload.get("colors", "")
-        if not isinstance(colors, str):
-            raise TypeError(
-                f"colors must be a string, got {type(colors).__name__}")
-        if len(colors) != len(entries):
-            raise ValueError("color string does not match triple count")
-        odd = colors.lstrip("RBD")  # from the first other character on
-        if odd:
-            raise TypeError(
-                f"colors must hold R, B and D only, got {odd[0]!r}")
-        flags = _FLAG_OF_COLOR[np.frombuffer(colors.encode(), np.uint8)]
-        cells = payload.get("cells")
-        h = TripleSystem.from_arrays(
-            n, entries - 1, flags, payload.get("system_kind", "reduced"),
-            None if cells is None else _int_array(cells, "cells"))
-        if h.edge_count() != len(entries):  # from_arrays merged a repeated line
-            raise ValueError("duplicate triple in triple list")
-        return TripleRecord(seed=seed, system=h, params=params, stats=stats)
-    raise ValueError(f"unknown record kind {kind!r}")
+        return InstanceRecord(n=n, seed=seed, edges=edges, params=params,
+                              provenance=placed, stats=stats)
+    raw = payload.get("triples", []) if body is None else body
+    entries = _entries(raw, 3, "triples")
+    a, b, c = entries.T
+    bad = (entries.min(axis=1) < 1) | (entries.max(axis=1) > n) \
+        | (a == b) | (b == c) | (a == c)
+    if bad.any():  # named as the file writes it, 1-based
+        line = tuple(entries[bad.argmax()].tolist())
+        raise ValueError(f"bad triple {line}")
+    colors = payload.get("colors", "")
+    if not isinstance(colors, str):
+        raise TypeError(f"colors must be a string, got {type(colors).__name__}")
+    if len(colors) != len(entries):
+        raise ValueError("color string does not match triple count")
+    odd = colors.lstrip("RBD")  # from the first other character on
+    if odd:
+        raise TypeError(f"colors must hold R, B and D only, got {odd[0]!r}")
+    flags = _FLAG_OF_COLOR[np.frombuffer(colors.encode(), np.uint8)]
+    h = TripleSystem.from_arrays(
+        n, entries - 1, flags, payload.get("system_kind", "reduced"), placed)
+    if h.edge_count() != len(entries):  # from_arrays merged a repeated line
+        raise ValueError("duplicate triple in triple list")
+    return TripleRecord(seed=seed, system=h, params=params, stats=stats)
 
 
 # the edge-list grammar, by byte: 0 digit, 1 space or tab, 2 line break,

@@ -708,8 +708,11 @@ class LoopTriples:
 
     @classmethod
     def of(cls, h) -> LoopTriples:
-        """The loop container of a package TripleSystem."""
-        return cls(h.order, triple_dict(h), h.kind, h.cells)
+        """The loop container of a package TripleSystem, its Placement of
+        cells read as an (n, 2) array of rows and columns."""
+        cells = (None if h.cells is None
+                 else np.column_stack([h.cells.rows, h.cells.cols]))
+        return cls(h.order, triple_dict(h), h.kind, cells)
 
     def add(self, t, flag: int) -> None:
         key = _norm(t)

@@ -157,6 +157,29 @@ class TestHyper:
                     "0.5", "--k", "3", "--seed", "0", "--out", path]) == 0
         return path
 
+    @pytest.mark.parametrize("damage, names", [
+        (lambda s: s.update(cells=s["cells"][:1]),
+         "placement holds 1 vertices, the instance 16"),
+        (lambda s: s["cells"].__setitem__(1, s["cells"][0]),
+         "placement is not injective"),
+        (lambda s: s["cells"].__setitem__(0, [-5, 99]), "cell out of range"),
+        (lambda s: s.update(cells=[c + [0] for c in s["cells"]]),
+         "cells must have 2 values per row"),
+        (lambda s: s.update(params=None),
+         "partial provenance: holds cells without params"),
+    ], ids=["one-cell", "repeated-cell", "out-of-range", "three-coordinates",
+            "no-params"])
+    def test_bad_cells(self, tmp_path, capsys, damage, names):
+        # these sidecars once verified with exit 0, their cells unchecked
+        path = self.hyper_file(tmp_path)
+        side = json.loads(open(path + ".json").read())
+        damage(side)
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(side))
+        capsys.readouterr()
+        assert run(["verify", path]) == 1
+        assert capsys.readouterr().err == f"error: {path}.json: {names}\n"
+
     def verify_json(self, path, capsys):
         capsys.readouterr()
         code = run(["verify", path, "--json"])
@@ -351,6 +374,7 @@ class TestDamagedSidecar:
                             lambda s: s["base_red_edges"].__setitem__(0, edge))
         err = self.assert_error_exit([command, path], capsys)
         assert "red base edge endpoint outside 0..5" in err
+        assert f"error: {path}.json: " in err
 
     @pytest.mark.parametrize("damage, names", [
         (lambda s: s["params"].pop("kappa"), "'kappa'"),
@@ -430,6 +454,7 @@ class TestDamagedSidecar:
         path = self.damaged(tmp_path, damage)
         err = self.assert_error_exit([command, path], capsys)
         assert "cell out of range" in err
+        assert f"error: {path}.json: " in err
 
     @pytest.mark.parametrize("command", ["verify", "diagnose", "alpha"])
     @pytest.mark.parametrize("fmt", ["edgelist", "json"])
@@ -499,6 +524,36 @@ class TestDamagedSidecar:
                                                  s["placement"]["cols"].pop()))
         err = self.assert_error_exit([command, path], capsys)
         assert "placement holds 23 vertices, the instance 24" in err
+        assert f"error: {path}.json: " in err
+
+    @pytest.mark.parametrize("flags, names", [
+        (["--n", "1000", "--clamp", "--kappa", "inf"],
+         "kappa = inf must be finite and >= 1"),
+        (["--n", "1000", "--clamp", "--kappa", "nan"],
+         "kappa = nan must be finite and >= 1"),
+        (["--n", "10000000", "--eps", "60"], "epsilon = 60.0 outside (0, 1)"),
+    ], ids=["kappa-inf", "kappa-nan", "eps-60"])
+    def test_params_that_overflow(self, tmp_path, capsys, flags, names):
+        # kappa = inf made k = ceil(inf) an OverflowError traceback, and
+        # epsilon = 60 would overflow n ** (0.25 + epsilon) unchecked
+        err = self.assert_error_exit(
+            ["build", *flags, "--out", str(tmp_path / "g.edges")], capsys)
+        assert err == f"error: {names}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "alpha", "diagnose"])
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_record_kappa_not_finite(self, tmp_path, capsys, command, kappa):
+        # from_dict re-derives a clamped record through derive_params
+        path = str(tmp_path / "g.edges")
+        assert run(["build", "--n", "2000", "--clamp", "--seed", "0",
+                    "--out", path]) == 0
+        payload = json.loads(open(path + ".json").read())
+        payload["params"]["kappa"] = kappa
+        with open(path + ".json", "w") as fh:
+            fh.write(json.dumps(payload))
+        err = self.assert_error_exit([command, path], capsys)
+        assert err == (f"error: {path}.json: kappa = {kappa} must be finite "
+                       "and >= 1\n")
 
 
 class TestAlpha:

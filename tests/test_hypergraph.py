@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from trioverlay import hypergraph
+from trioverlay.construction import Placement
 from trioverlay.hypergraph import (BLUE, RED, TripleSystem, extract_link,
                                    hyper_product, inject_hyper, s4_reduction,
                                    sample_base_3graphs, verify_s4_free)
@@ -86,6 +87,20 @@ class TestTripleSystem:
     def test_from_arrays_rejects_what_add_rejects(self, rows, flags):
         with pytest.raises(ValueError):
             TripleSystem.from_arrays(4, rows, flags)
+
+    def test_cells_place_every_vertex_once(self):
+        # cells are a Placement of the system's own vertices, on distinct
+        # cells: a repeated cell is no Placement, a short one no fit
+        triples, flags = [(0, 1, 2), (1, 2, 3)], [RED, BLUE]
+        with pytest.raises(ValueError, match="not injective"):
+            TripleSystem.from_arrays(4, triples, flags, cells=Placement(
+                2, [0, 1, 0, 1], [0, 0, 0, 1]))
+        with pytest.raises(ValueError, match="cells place 3 vertices, not 4"):
+            TripleSystem.from_arrays(4, triples, flags, cells=Placement(
+                2, [0, 1, 1], [0, 0, 1]))
+        cells = Placement(2, [1, 0, 1, 0], [1, 1, 0, 0])
+        assert TripleSystem.from_arrays(4, triples, flags,
+                                        cells=cells).cells is cells
 
     def test_keys_on_ranks_beyond_int64(self):
         # order^3 overflows int64 for order > 2,097,151; the triples are
@@ -176,8 +191,9 @@ class TestHyperProduct:
 
     def test_cells_provenance(self):
         _, _, _, h1, _ = _pipeline(N=4, p=0.5, seed=0)
+        assert h1.cells.N == 4
         for v in range(16):
-            assert tuple(h1.cells[v]) == (v // 4, v % 4)
+            assert h1.cells.cell_of(v) == (v // 4, v % 4)
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -197,15 +213,17 @@ class TestInjectHyper:
         N = par.N
         cell_flags = triple_dict(h1)
         for t, f in triple_dict(h2).items():
-            cell_t = tuple(sorted(int(h2.cells[v, 0]) * N + int(h2.cells[v, 1])
-                                  for v in t))
+            cell_t = tuple(sorted(int(h2.cells.rows[v]) * N
+                                  + int(h2.cells.cols[v]) for v in t))
             assert cell_flags[cell_t] == f
 
     def test_deterministic(self):
         par, _, _, h1, _ = _pipeline(N=5, p=0.4, seed=3)
         a = inject_hyper(h1, par, seed=3)
         b = inject_hyper(h1, par, seed=3)
-        assert triple_dict(a) == triple_dict(b) and (a.cells == b.cells).all()
+        assert triple_dict(a) == triple_dict(b)
+        assert np.array_equal(a.cells.rows, b.cells.rows)
+        assert np.array_equal(a.cells.cols, b.cells.cols)
 
     def test_guards(self):
         par, _, _, h1, _ = _pipeline(N=5, p=0.4, seed=0)
@@ -388,7 +406,7 @@ class TestS4Reduction:
             (0, 1, 2): RED, (0, 1, 3): RED}
         # cells rank v0 < v2 < v3 < v1, so (0, 2, 3) scans first and (0, 1, 3)
         # closes the star
-        cells = np.array([[0, 0], [2, 0], [0, 1], [1, 1]])
+        cells = Placement(3, [0, 2, 0, 1], [0, 0, 1, 1])
         placed = s4_reduction(_system(4, star, cells=cells))
         assert triple_dict(placed) == {(0, 1, 2): RED, (0, 2, 3): RED}
         assert triple_dict(placed) == s4_reduction_loop(
@@ -458,8 +476,8 @@ def _same_system(got, want):
     assert got.kind == want.kind and got.order == want.order
     assert (got.cells is None) == (want.cells is None)
     if want.cells is not None:
-        assert got.cells.dtype == want.cells.dtype
-        assert np.array_equal(got.cells, want.cells)
+        assert np.array_equal(got.cells.rows, want.cells[:, 0])
+        assert np.array_equal(got.cells.cols, want.cells[:, 1])
     for flag in (RED, BLUE, RED | BLUE):
         assert got.count_with(flag) == sum(1 for f in want.flags.values()
                                            if f & flag)
@@ -472,7 +490,7 @@ def _shuffled(h, rng, cells="keep"):
     if cells == "random":
         grid = max(2, h.order)
         ids = rng.choice(grid * grid, size=h.order, replace=False)
-        cells = np.column_stack([ids // grid, ids % grid])
+        cells = Placement(grid, ids // grid, ids % grid)
     elif cells == "keep":
         cells = h.cells
     perm = rng.permutation(h.edge_count())
@@ -550,15 +568,3 @@ class TestMatchesLoops:
         out = s4_reduction(h2)
         assert triple_dict(out) == s4_reduction_loop(LoopTriples.of(h2)).flags
         assert verify_s4_free(out)
-
-    def test_cell_ties_break_by_vertex_triple(self):
-        # every vertex on one cell: the scan falls back to vertex order,
-        # whatever order the triples were inserted in
-        rng = np.random.default_rng(2)
-        _, _, _, _, h2 = _pipeline(N=4, p=0.6, seed=5)
-        want = s4_reduction_loop(LoopTriples(h2.order, triple_dict(h2))).flags
-        for _ in range(3):
-            hs = _shuffled(h2, rng)
-            hs.cells = np.zeros((h2.order, 2), dtype=np.int64)
-            assert triple_dict(s4_reduction(hs)) == want
-

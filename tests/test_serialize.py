@@ -181,8 +181,12 @@ class TestTripleRoundTrip:
             got = read_instance(path).system
             for name in ("order", "kind"):
                 assert getattr(got, name) == getattr(want, name)
-            for name in ("triples", "flags", "cells"):
+            for name in ("triples", "flags"):
                 x, y = getattr(got, name), getattr(want, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+            assert got.cells.N == want.cells.N
+            for name in ("rows", "cols"):
+                x, y = getattr(got.cells, name), getattr(want.cells, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y), name
 
     def test_sidecar_less_fallback(self, tmp_path):
@@ -237,14 +241,16 @@ class TestErrors:
 
     def test_provenance_without_params(self, tmp_path):
         # the reader rejects such a file, so the writer writes none
-        rec = graph_record(_placed())
-        rec.params = None
-        for fmt in ("edgelist", "json"):
-            with pytest.raises(ValueError, match="partial provenance: holds "
-                               "base_red_edges, base_blue_edges, placement "
-                               "without params"):
-                write_instance(rec, str(tmp_path / "x.edges"), fmt=fmt)
-            assert os.listdir(tmp_path) == []
+        graph = graph_record(_placed())
+        graph.params = None
+        triples = triple_record(_reduced_system()[1])  # placed, no params
+        for rec, held in ((graph, "base_red_edges, base_blue_edges, placement"),
+                          (triples, "cells")):
+            for fmt in ("edgelist", "json"):
+                with pytest.raises(ValueError, match="partial provenance: "
+                                   f"holds {held} without params"):
+                    write_instance(rec, str(tmp_path / "x.edges"), fmt=fmt)
+                assert os.listdir(tmp_path) == []
 
     def test_kind_is_not_a_field(self):
         # a record's kind is its class's constant, not a settable field
