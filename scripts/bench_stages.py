@@ -26,6 +26,9 @@ equals derive_params wherever that is buildable), the file records:
 - k-set classification: analysis.classify_sets on diagnose's default 15
   sets (sample_k_sets(..., n_random=5, seed=0)), in process, with the
   sha256 of their to_dict() values;
+- the edge-deletion baseline: baselines.edge_deletion_baseline(n, p, 0) at
+  the same p, in process, with the sha256 of its stats and CSR (the
+  triangle kernel on G(n, p), where the placed graph has no triangle);
 - triple systems: CLI hyper --explicit and verify on its file at each of
   HYPER_SHAPES, with the sha256 of the written files and of verify --json;
 - exact alpha: independence.independence_exact, in process, on EXACT_SHAPES
@@ -74,6 +77,7 @@ STAGES = """
 import hashlib, json, sys
 from time import perf_counter
 from trioverlay import analysis as an, construction as c, independence as ind
+from trioverlay.baselines import edge_deletion_baseline
 from trioverlay.graphview import SimpleGraphView, count_triangles
 from trioverlay.params import feasible_params
 par = feasible_params(int(sys.argv[1]))
@@ -106,12 +110,19 @@ sets = an.sample_k_sets(placed, n_random=5, seed=0)
 t10 = perf_counter()
 classified = [an.classify_sets(I, placed).to_dict() for _, I in sets]
 t11 = perf_counter()
+deletion = edge_deletion_baseline(par.n, par.p, 0)
+t12 = perf_counter()
 cert = json.dumps(greedy3.certificate).encode()
+deleted = json.dumps(deletion.stats, sort_keys=True).encode()
 print(json.dumps({"N": par.N, "m": graph.m, "placed_adjacency": t1 - t0,
                   "from_edge_arrays": t2 - t1, "placed_edges_are": t4 - t3,
                   "count_triangles": t5 - t4, "triangle_certificate": certificate,
                   "greedy_1": t6 - t5, "greedy_3": t7 - t6,
                   "swap_improve": t9 - t8, "classify_sets": t11 - t10,
+                  "edge_deletion": t12 - t11,
+                  "edge_deletion_sha256": hashlib.sha256(
+                      deleted + deletion.graph.indptr.tobytes()
+                      + deletion.graph.indices.tobytes()).hexdigest(),
                   "classify_sha256": hashlib.sha256(
                       json.dumps(classified).encode()).hexdigest(),
                   "greedy": {"value_1": greedy1.value, "value_3": greedy3.value,
@@ -202,13 +213,14 @@ def bench_size(env, n: int, work: Path) -> dict:
     stages = medians(runs, ("placed_adjacency", "from_edge_arrays",
                             "placed_edges_are", "count_triangles",
                             "triangle_certificate", "greedy_1", "greedy_3",
-                            "swap_improve", "classify_sets"))
+                            "swap_improve", "classify_sets", "edge_deletion"))
     stages.update(medians([json.loads(python(env, work, "-c", READ, path))
                            for _ in range(REPEATS)],
                           ("read_instance", "rebuild_read")))
     return {"n": n, "N": runs[0]["N"], "m": runs[0]["m"], "cli_s": cli,
             "stage_s": stages, "greedy": runs[0]["greedy"],
             "classify_sha256": runs[0]["classify_sha256"],
+            "edge_deletion_sha256": runs[0]["edge_deletion_sha256"],
             "sha256": digests(work / path),
             "json_stdout_sha256": stdout_digests(env, work, readers, "--json"),
             "text_stdout_sha256": stdout_digests(

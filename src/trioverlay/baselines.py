@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import STREAM_EDGE_DELETION, STREAM_PROCESS, child_rng
-from .graphview import SimpleGraphView, count_triangles, pack_bits
+from .graphview import SimpleGraphView, count_triangles, triangle_apexes
 
 __all__ = ["BaselineResult", "edge_deletion_baseline", "triangle_free_process"]
 
-# uint64 words per block of the deletion test; caps its temporaries at 8 MB
-_TEST_WORDS = 1 << 20
 # pair draws per chunk of the process
 _CHUNK_MIN, _CHUNK_MAX = 16, 65536
 
@@ -51,18 +49,8 @@ def edge_deletion_baseline(n: int, p: float, seed: int) -> BaselineResult:
     us = np.repeat(np.arange(n - 1, dtype=np.int64), [r.size for r in rows])
     vs = np.concatenate(rows) if rows else np.empty(0, np.int64)
 
-    # bitset rows: above[b] holds the neighbours of b above b, packed[a] all
-    # neighbours of a
-    above = pack_bits(n, us, vs)
-    packed = pack_bits(n, vs, us)
-    packed |= above
-    # N(a) & above(b) over edge (a, b) holds the c of each triangle a < b < c
-    # once: its size sums to the triangle count, and (a, b) goes iff nonempty
-    apexes = np.zeros(us.size, dtype=np.int64)
-    block = max(1, _TEST_WORDS // above.shape[1])
-    for s in range(0, us.size, block):
-        common = packed[us[s:s + block]] & above[vs[s:s + block]]
-        apexes[s:s + block] = np.bitwise_count(common).sum(axis=1)
+    # the c > b of each triangle a < b < c, counted at its edge (a, b)
+    apexes = triangle_apexes(n, us, vs)
     doomed = apexes > 0
 
     g = SimpleGraphView.from_edge_arrays(n, us[~doomed], vs[~doomed])

@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .analysis import classify_sets, concentration_report, f_function, sample_k_sets
 from .baselines import edge_deletion_baseline, triangle_free_process
 from .construction import build, rebuild
@@ -38,7 +39,6 @@ from .serialize import graph_record, jsonify, read_instance, triple_record, \
 
 __all__ = ["main"]
 
-VERSION = "0.1.0"
 SWEEP_SCHEMA = f"# trioverlay sweep schema=1 version={VERSION}"
 SWEEP_CONSTRUCTIONS = ("overlay", "edge-deletion", "process")
 
@@ -147,10 +147,8 @@ def _verify_graph(rec, report: dict) -> bool:
     rederivable = placed is not None and placed.edges_are_placed(rec.edges)
     # the placed edges join distinct flagged cells, so a triangle of g is a
     # closed 3-walk of the cell graph: a zero certificate leaves none
-    if rederivable and placed.product.triangle_certificate() == 0:
-        tri = 0
-    else:
-        tri = count_triangles(g)
+    certified = rederivable and placed.product.triangle_certificate() == 0
+    tri = 0 if certified else count_triangles(g)
     delta = g.max_degree()
     alpha = independence_greedy(g, restarts=1, seed=0)
     checks = {
@@ -279,20 +277,17 @@ def _sweep_cell(construction: str, n: int, seed: int, args):
         conc = concentration_report(placed.base_red, placed.base_blue,
                                     placed.placement, par)
         npass = sum(1 for c in conc.checks if c.passed)
-        diag_parts.append(f"mode={par.mode}")
-        diag_parts.append(f"p={par.p:.6g}")
-        diag_parts.append(f"conc={npass}/{len(conc.checks)}")
+        diag_parts += [f"mode={par.mode}", f"p={par.p:.6g}",
+                       f"conc={npass}/{len(conc.checks)}"]
     elif construction == "edge-deletion":
         par = feasible_params(n, epsilon=args.eps, beta=args.beta)
         res = edge_deletion_baseline(n, par.p, seed)
         g = res.graph
-        diag_parts.append(f"p={par.p:.6g}")
-        diag_parts.append(f"deleted={res.stats['edges_deleted']}")
+        diag_parts += [f"p={par.p:.6g}", f"deleted={res.stats['edges_deleted']}"]
     else:  # "process": cmd_sweep rejects unknown constructions up front
         res = triangle_free_process(n, seed, max_steps=args.max_steps)
         g = res.graph
-        diag_parts.append(f"steps={res.stats['steps']}")
-        diag_parts.append(f"maximal={res.stats['maximal']}")
+        diag_parts += [f"steps={res.stats['steps']}", f"maximal={res.stats['maximal']}"]
 
     restarts = 1 if n >= 5000 else 2
     alpha = independence_greedy(g, restarts=restarts, seed=0)

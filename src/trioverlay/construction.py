@@ -302,7 +302,7 @@ def apply_deletion_rule(g1: ColoredProductGraph, gr: BaseGraph,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Placement:
     """Injective placement of {0..n-1} into the N x N cell grid."""
 
@@ -327,7 +327,8 @@ class Placement:
         # far less than np.unique, which hashes in numpy 2.4, at n = 10^5)
         if not np.diff(np.sort(rows * self.N + cols)).all():
             raise ValueError("placement is not injective")
-        self.rows, self.cols = rows.astype(np.int32), cols.astype(np.int32)
+        object.__setattr__(self, "rows", rows.astype(np.int32))
+        object.__setattr__(self, "cols", cols.astype(np.int32))
 
     @property
     def n(self) -> int:
@@ -355,7 +356,7 @@ def sample_injection(params: Params, seed: int,
     return Placement(params.N, *np.divmod(cells, params.N))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlacedGraph:
     """Final instance: overlay graph plus everything needed to re-derive it."""
 

@@ -89,7 +89,7 @@ def _row_keys(rows: np.ndarray, base: int) -> tuple[np.ndarray, int]:
     return (rows[:, 0] * base + rows[:, 1]) * base + rows[:, 2], base
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripleSystem:
     """3-uniform system with per-triple color flags (bit 1 red, bit 2 blue),
     in the canonical form ``from_arrays`` sets."""

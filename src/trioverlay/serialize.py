@@ -245,53 +245,53 @@ def _provenance(payload: dict, kind: str, params: Params | None, n: int):
     return red, blue, placement
 
 
-def _from_payload(payload: dict, source: str, body: np.ndarray | None = None):
+def _from_payload(payload: dict, source: str, body=None, body_source=None):
     """Record from the parsed payload of file source; body holds the 1-based
-    entry lines of an edge-list file, else the entries come from the payload
-    itself."""
-    kind = payload.get("kind", "graph")
-    if kind not in _PROVENANCE:
-        raise ValueError(f"unknown record kind {kind!r}")
-    n = _integer(payload["n"], "n")
-    seed = _integer(payload.get("seed", 0), "seed")
-    try:  # params and provenance: an error names the file
+    entry lines of edge-list file body_source, else the entries come from
+    the payload itself.  An error names the file that holds the fault."""
+    with _record_in(source):
+        kind = payload.get("kind", "graph")
+        if kind not in _PROVENANCE:
+            raise ValueError(f"unknown record kind {kind!r}")
+        n = _integer(payload["n"], "n")
+        seed = _integer(payload.get("seed", 0), "seed")
         params = payload.get("params")
         params = None if params is None else Params.from_dict(params)
         placed = _provenance(payload, kind, params, n)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    stats = payload.get("stats") or {}
-    if kind == "graph":
-        raw = payload.get("edges", []) if body is None else body
-        edges = _entries(raw, 2, "edges") - 1
-        if len(edges) and (edges.min() < 0 or edges.max() >= n):
-            raise ValueError("edge endpoint out of range")
-        if len(edges) and not (edges[:, 0] < edges[:, 1]).all():
-            raise ValueError("edges must satisfy u < v")
-        return InstanceRecord(n=n, seed=seed, edges=edges, params=params,
-                              provenance=placed, stats=stats)
-    raw = payload.get("triples", []) if body is None else body
-    entries = _entries(raw, 3, "triples")
-    a, b, c = entries.T
-    bad = (entries.min(axis=1) < 1) | (entries.max(axis=1) > n) \
-        | (a == b) | (b == c) | (a == c)
-    if bad.any():  # named as the file writes it, 1-based
-        line = tuple(entries[bad.argmax()].tolist())
-        raise ValueError(f"bad triple {line}")
-    colors = payload.get("colors", "")
-    if not isinstance(colors, str):
-        raise TypeError(f"colors must be a string, got {type(colors).__name__}")
-    if len(colors) != len(entries):
-        raise ValueError("color string does not match triple count")
-    odd = colors.lstrip("RBD")  # from the first other character on
-    if odd:
-        raise TypeError(f"colors must hold R, B and D only, got {odd[0]!r}")
-    flags = _FLAG_OF_COLOR[np.frombuffer(colors.encode(), np.uint8)]
-    h = TripleSystem.from_arrays(
-        n, entries - 1, flags, payload.get("system_kind", "reduced"), placed)
-    if h.edge_count() != len(entries):  # from_arrays merged a repeated line
-        raise ValueError("duplicate triple in triple list")
-    return TripleRecord(seed=seed, system=h, params=params, stats=stats)
+        stats = payload.get("stats") or {}
+        key = "edges" if kind == "graph" else "triples"
+        raw = payload.get(key, []) if body is None else body
+        if kind == "triples":
+            colors = payload.get("colors", "")
+            if not isinstance(colors, str):
+                raise TypeError(f"colors must be a string, got {type(colors).__name__}")
+            if len(colors) != len(raw):
+                raise ValueError("color string does not match triple count")
+            odd = colors.lstrip("RBD")  # from the first other character on
+            if odd:
+                raise TypeError(f"colors must hold R, B and D only, got {odd[0]!r}")
+            flags = _FLAG_OF_COLOR[np.frombuffer(colors.encode(), np.uint8)]
+    with _record_in(body_source or source):
+        if kind == "graph":
+            edges = _entries(raw, 2, "edges") - 1
+            if len(edges) and (edges.min() < 0 or edges.max() >= n):
+                raise ValueError("edge endpoint out of range")
+            if len(edges) and not (edges[:, 0] < edges[:, 1]).all():
+                raise ValueError("edges must satisfy u < v")
+            return InstanceRecord(n=n, seed=seed, edges=edges, params=params,
+                                  provenance=placed, stats=stats)
+        entries = _entries(raw, 3, "triples")
+        a, b, c = entries.T
+        bad = (entries.min(axis=1) < 1) | (entries.max(axis=1) > n) \
+            | (a == b) | (b == c) | (a == c)
+        if bad.any():  # named as the file writes it, 1-based
+            line = tuple(entries[bad.argmax()].tolist())
+            raise ValueError(f"bad triple {line}")
+        h = TripleSystem.from_arrays(n, entries - 1, flags,
+                                     payload.get("system_kind", "reduced"), placed)
+        if h.edge_count() != len(entries):  # from_arrays merged a repeated line
+            raise ValueError("duplicate triple in triple list")
+        return TripleRecord(seed=seed, system=h, params=params, stats=stats)
 
 
 # the edge-list grammar, by byte: 0 digit, 1 space or tab, 2 line break,
@@ -302,7 +302,7 @@ _BYTE_KIND[list(b" \t")] = 1
 _BYTE_KIND[list(b"\n\v\f\r")] = 2
 
 
-def _line_widths(data: bytes, path: str) -> np.ndarray:
+def _line_widths(data: bytes) -> np.ndarray:
     """Token counts of the lines of an edge-list file, blank ones included
     ("\\r\\n" ends one line); a byte outside the grammar is a ValueError."""
     codes = np.frombuffer(data, dtype=np.uint8)
@@ -315,7 +315,7 @@ def _line_widths(data: bytes, path: str) -> np.ndarray:
     bad = kind == 3
     if bad.any():
         at = int(bad.argmax())
-        raise ValueError(f"{path}: line {np.count_nonzero(brk[:at]) + 1}: "
+        raise ValueError(f"line {np.count_nonzero(brk[:at]) + 1}: "
                          f"{data[at:at + 1]!r} is not a digit, space or line break")
     event = np.flatnonzero(start | brk)  # token starts and line breaks, in order
     at = np.flatnonzero(brk[event])  # the line breaks among them
@@ -324,14 +324,16 @@ def _line_widths(data: bytes, path: str) -> np.ndarray:
 
 @contextmanager
 def _record_in(source: str):
-    """Report a missing key or a value of the wrong type in the JSON record
-    of file source as a ValueError naming the file."""
+    """Report a bad value, a missing key or a value of the wrong type in
+    file source as a ValueError naming the file once."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{source}: missing key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{source}: value of the wrong type: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def read_instance(path: str):
@@ -339,45 +341,46 @@ def read_instance(path: str):
     with open(path, "rb") as fh:
         data = fh.read()
     if data.lstrip().startswith(b"{"):
-        payload = json.loads(data)
-        if payload.get("format") != "json":
-            raise ValueError("JSON instance file missing format marker")
         with _record_in(path):
-            return _from_payload(payload, path)
+            payload = json.loads(data)
+            if payload.get("format") != "json":
+                raise ValueError("JSON instance file missing format marker")
+        return _from_payload(payload, path)
 
-    widths = _line_widths(data, path)
-    lines = np.flatnonzero(widths)  # the non-blank lines, 0-based
-    if not lines.size:
-        raise ValueError(f"empty instance file: {path}")
-    widths = widths[lines]
-    # the grammar leaves only digit runs and C whitespace: one token each
-    values = np.fromstring(data, dtype=np.int64, sep=" ")
-    big = values == np.iinfo(np.int64).max  # where fromstring saturates
-    if big.any():
-        line = lines[np.searchsorted(np.cumsum(widths), big.argmax(), "right")]
-        raise ValueError(f"{path}: line {line + 1}: integer too large")
-    if widths[0] != 3:
-        head = " ".join(map(str, values[:widths[0]].tolist()))
-        raise ValueError(f"bad header {head!r}: want 'n m seed'")
-    n, m, seed = values[:3].tolist()
-    if widths.size - 1 != m:
-        raise ValueError(f"header claims {m} lines, found {widths.size - 1}")
-    width = int(widths[1]) if m else 2
-    if m and (width not in (2, 3) or (widths[1:] != width).any()):
-        raise ValueError("mixed or malformed entry lines")
-    body = values[3:].reshape(m, width)
+    with _record_in(path):
+        widths = _line_widths(data)
+        lines = np.flatnonzero(widths)  # the non-blank lines, 0-based
+        if not lines.size:
+            raise ValueError("empty instance file")
+        widths = widths[lines]
+        # the grammar leaves only digit runs and C whitespace: one token each
+        values = np.fromstring(data, dtype=np.int64, sep=" ")
+        big = values == np.iinfo(np.int64).max  # where fromstring saturates
+        if big.any():
+            line = lines[np.searchsorted(np.cumsum(widths), big.argmax(), "right")]
+            raise ValueError(f"line {line + 1}: integer too large")
+        if widths[0] != 3:
+            head = " ".join(map(str, values[:widths[0]].tolist()))
+            raise ValueError(f"bad header {head!r}: want 'n m seed'")
+        n, m, seed = values[:3].tolist()
+        if widths.size - 1 != m:
+            raise ValueError(f"header claims {m} lines, found {widths.size - 1}")
+        width = int(widths[1]) if m else 2
+        if m and (width not in (2, 3) or (widths[1:] != width).any()):
+            raise ValueError("mixed or malformed entry lines")
+        body = values[3:].reshape(m, width)
     kind = "triples" if width == 3 else "graph"
 
     side = path + ".json"
     if os.path.exists(side):
-        with open(side) as fh:
-            payload = json.loads(fh.read())
         with _record_in(side):
+            with open(side) as fh:
+                payload = json.loads(fh.read())
             if (_integer(payload.get("n", n), "n") != n
                     or _integer(payload.get("m", m), "m") != m
                     or (m and payload.get("kind", "graph") != kind)):
                 raise ValueError("sidecar disagrees with edge-file header")
-            return _from_payload(payload, side, body)
+        return _from_payload(payload, side, body, path)
     payload = {"kind": kind, "n": n, "m": m, "seed": seed,
                "colors": "D" * m if kind == "triples" else None}
     return _from_payload(payload, path, body)

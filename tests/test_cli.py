@@ -241,8 +241,8 @@ class TestHyper:
         capsys.readouterr()
         assert run(["verify", path]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: 2097153 distinct vertices: too many to key "
-                       "triples in int64\n")
+        assert err == (f"error: {path}: 2097153 distinct vertices: too many "
+                       "to key triples in int64\n")
 
     @pytest.mark.parametrize("line", ["1 1 2", "2 1 1", "6 1 2"])
     def test_bad_triple_named_in_file_ids(self, tmp_path, capsys, line):
@@ -252,7 +252,7 @@ class TestHyper:
         capsys.readouterr()
         assert run(["verify", path]) == 1
         want = tuple(int(x) for x in line.split())
-        assert capsys.readouterr().err == f"error: bad triple {want}\n"
+        assert capsys.readouterr().err == f"error: {path}: bad triple {want}\n"
 
     def test_verify_canonicalizes_once(self, tmp_path, monkeypatch):
         # the reader builds the system; verify checks that same object
@@ -285,7 +285,7 @@ class TestHyper:
         capsys.readouterr()
         assert run(["verify", path]) == 1
         assert capsys.readouterr().err == \
-            "error: duplicate triple in triple list\n"
+            f"error: {path}: duplicate triple in triple list\n"
 
 
 class TestVerify:
@@ -554,6 +554,79 @@ class TestDamagedSidecar:
         err = self.assert_error_exit([command, path], capsys)
         assert err == (f"error: {path}.json: kappa = {kappa} must be finite "
                        "and >= 1\n")
+
+
+def _edit(path, edit, as_json=False):
+    """Rewrite a file through edit, on its payload or its list of lines."""
+    text = open(path).read()
+    if as_json:
+        payload = json.loads(text)
+        edit(payload)
+        text = json.dumps(payload)
+    else:
+        lines = text.splitlines()
+        edit(lines)
+        text = "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _reverse_first_entry(lines):
+    lines[1] = " ".join(reversed(lines[1].split()))
+
+
+class TestReadErrorsNameTheirFile:
+    """A read error names, once, the file that holds the fault: the edge
+    list or JSON file for its header and entries, the sidecar for its own
+    values."""
+
+    @pytest.mark.parametrize("instance, damaged, damage, names", [
+        ("graph", "", lambda p: _edit(p, _reverse_first_entry),
+         "edges must satisfy u < v"),
+        ("graph", "", lambda p: _edit(p, lambda ls: ls.__setitem__(0, "24 5")),
+         "bad header '24 5': want 'n m seed'"),
+        ("graph", "", lambda p: _edit(p, lambda ls: ls.append(ls[1])),
+         "header claims"),
+        ("graph", "", lambda p: _edit(p, lambda ls: ls.__setitem__(1, ls[1] + " 3")),
+         "mixed or malformed entry lines"),
+        ("graph", "", lambda p: _edit(p, lambda ls: ls.__setitem__(1, "1 99")),
+         "edge endpoint out of range"),
+        ("graph", ".json",
+         lambda p: _edit(p + ".json", lambda s: s.update(m=s["m"] + 1), True),
+         "sidecar disagrees with edge-file header"),
+        ("triples", "", lambda p: _edit(p, lambda ls: ls.__setitem__(1, "1 1 2")),
+         "bad triple (1, 1, 2)"),
+        ("triples", "", lambda p: _edit(p, lambda ls: ls.__setitem__(2, ls[1])),
+         "duplicate triple in triple list"),
+        ("triples", ".json", lambda p: _edit(
+            p + ".json", lambda s: s.update(colors=s["colors"][1:]), True),
+         "color string does not match triple count"),
+        ("json", "", lambda p: _edit(p, lambda s: s.pop("format"), True),
+         "JSON instance file missing format marker"),
+        ("json", "", lambda p: _edit(p, lambda ls: ls.pop()),
+         "Expecting"),
+        ("json", "", lambda p: _edit(p, lambda s: s["edges"][0].reverse(), True),
+         "edges must satisfy u < v"),
+    ], ids=["u<v", "bad-header", "header-claims", "mixed-lines", "out-of-range",
+            "sidecar-disagrees", "bad-triple", "duplicate-triple",
+            "color-count", "format-marker", "json-syntax", "json-u<v"])
+    def test_named_once(self, tmp_path, capsys, instance, damaged, damage,
+                        names):
+        if instance == "triples":
+            path = str(tmp_path / "h.triples")
+            assert run(["hyper", "--explicit", "--N", "4", "--n", "16", "--p",
+                        "0.5", "--k", "3", "--seed", "0", "--out", path]) == 0
+        else:
+            path = build_small(tmp_path, *(("inst.json", 0, "json")
+                                           if instance == "json" else ()))
+        damage(path)
+        capsys.readouterr()
+        assert run(["verify", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{damaged}: ")
+        # the sidecar's name holds the edge file's: one occurrence either way
+        assert err.count(path) == 1 and names in err
+        assert "Traceback" not in err
 
 
 class TestAlpha:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -562,6 +563,16 @@ class TestBuild:
         assert (a.graph.edge_array() == b.graph.edge_array()).all()
         assert (a.placement.rows == b.placement.rows).all()
         assert a.stats == b.stats
+
+    def test_frozen(self):
+        # a field assigned after the checks would skip them: the placement's
+        # range and injectivity, the graph's agreement with the product
+        placed = build(explicit_params(n=20, N=5, p=0.6, k=5), 3)
+        for obj, name, value in ((placed.placement, "rows", np.zeros(20)),
+                                 (placed, "graph", None),
+                                 (placed, "placement", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
 
     def test_stats_bookkeeping(self):
         par = explicit_params(n=25, N=5, p=0.7, k=5)

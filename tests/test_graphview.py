@@ -3,8 +3,10 @@ import pytest
 
 from oracles import (csr_by_lexsort, deletion_bitsets, triangles_bruteforce,
                      triangles_dense)
+from trioverlay import graphview
 from trioverlay.construction import build
-from trioverlay.graphview import SimpleGraphView, count_triangles, pack_bits
+from trioverlay.graphview import (SimpleGraphView, count_triangles, pack_bits,
+                                  triangle_apexes)
 from trioverlay.params import feasible_params
 
 
@@ -96,6 +98,41 @@ class TestTriangles:
         assert count_triangles(g) == triangles_dense(n, edges)
 
 
+class TestTriangleApexes:
+    """The kernel against a per-edge count of the common neighbours above."""
+
+    @staticmethod
+    def per_edge(n, us, vs):
+        adj = np.zeros((n, n), dtype=bool)
+        adj[us, vs] = adj[vs, us] = True
+        return [int(np.count_nonzero(adj[u, v + 1:] & adj[v, v + 1:]))
+                for u, v in zip(us.tolist(), vs.tolist())]
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["default", "one-word"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 300])
+    def test_matches_per_edge_count(self, monkeypatch, n, block):
+        # one word per block splits every group of edges into blocks
+        if block is not None:
+            monkeypatch.setattr(graphview, "_BLOCK_WORDS", block)
+        rng = np.random.default_rng(n)
+        for p in (0.05, 0.5):
+            iu, ju = np.triu_indices(n, 1)
+            keep = rng.random(iu.size) < p
+            shuffle = rng.permutation(int(keep.sum()))  # any edge order
+            us, vs = iu[keep][shuffle], ju[keep][shuffle]
+            want = self.per_edge(n, us, vs)
+            assert triangle_apexes(n, us, vs).tolist() == want
+            g = SimpleGraphView.from_edge_arrays(n, us, vs)
+            assert count_triangles(g) == sum(want)
+
+    def test_asymmetric_csr_is_corrupt(self):
+        # row 0 lists 1, row 1 does not list 0: 1 entry above the diagonal
+        # of 1, not half
+        g = SimpleGraphView(3, np.array([0, 1, 1, 1]), np.array([1], np.int32))
+        with pytest.raises(AssertionError, match="adjacency corrupt"):
+            count_triangles(g)
+
+
 class TestPackedRows:
     def test_packed_matches_dense(self):
         rng = np.random.default_rng(9)
@@ -168,8 +205,8 @@ class TestMatchesLexsort:
 
 class TestPackBits:
     def test_matches_deletion_packing(self):
-        # the edge-deletion baseline's two packings, above the diagonal and
-        # in both directions
+        # the packings the edge-deletion baseline made before it shared the
+        # triangle kernel, above the diagonal and in both directions
         rng = np.random.default_rng(13)
         for n in (1, 2, 63, 64, 65, 130):
             iu, ju = np.triu_indices(n, 1)

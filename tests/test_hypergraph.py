@@ -4,6 +4,7 @@ The four-pass reduction is checked two ways on every instance: the library's
 per-link verifier and an exhaustive 4-subset scan from the oracle module.
 """
 
+import dataclasses
 import math
 from itertools import combinations
 
@@ -52,6 +53,15 @@ class TestTripleSystem:
         assert h.edge_count() == 2
         assert h.count_with(RED) == 2
         assert h.count_with(BLUE) == 1
+
+    def test_frozen(self):
+        # cells assigned after from_arrays would skip its size check, and an
+        # (n, 2) array in place of a Placement broke s4_reduction
+        h = _pipeline(4, 0.6, 5)[-1]
+        for name, value in (("cells", np.zeros((h.order, 2), np.int64)),
+                            ("triples", h.triples[:1]), ("flags", h.flags)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, value)
 
     def test_rejects_bad_triples(self):
         # 699,051 triples on 2^21 + 1 distinct vertices below 2^40: neither

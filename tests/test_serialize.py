@@ -388,16 +388,16 @@ class TestLineWidths:
             data = bytearray(rng.choice(grammar, size=size).tolist())
             text = data.decode("ascii")
             if rng.random() < 0.5:
-                assert _line_widths(bytes(data), "t").tolist() == per_line(text), \
+                assert _line_widths(bytes(data)).tolist() == per_line(text), \
                     repr(text)
                 continue
             # any other byte is an error naming the line it stands on
             at = int(rng.integers(0, size + 1))
             data[at:at] = [int(rng.choice(others))]
             with pytest.raises(ValueError) as exc:
-                _line_widths(bytes(data), "t")
+                _line_widths(bytes(data))
             assert str(exc.value) == (
-                f"t: line {len(per_line(text[:at]))}: {bytes(data[at:at + 1])!r}"
+                f"line {len(per_line(text[:at]))}: {bytes(data[at:at + 1])!r}"
                 " is not a digit, space or line break")
 
     def test_crlf_tabs_and_blank_lines_parse_alike(self, tmp_path):
