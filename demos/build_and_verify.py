@@ -51,8 +51,8 @@ def main():
     paths = write_instance(graph_record(inst), f"overlay_n{n}_s{seed}.edges")
     print(f"\nwrote {paths}")
     back = read_instance(paths[0])
-    assert len(back.edges) == g.m
-    print("re-read the edge list: edge count matches")
+    assert back.graph.edge_array().tolist() == g.edge_array().tolist()
+    print("re-read the edge list: edges match")
 
 
 if __name__ == "__main__":

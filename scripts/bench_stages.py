@@ -13,7 +13,11 @@ equals derive_params wherever that is buildable), the file records:
   stdout of build and verify (run in the work directory on a relative path,
   so the digests compare across trees);
 - reading: serialize.read_instance on the built file, and
-  construction.rebuild(read_instance(path)), in a fresh interpreter;
+  construction.rebuild(read_instance(path)), in a fresh interpreter (the
+  reader makes the record's CSR, so read_instance includes it, and rebuild
+  assembles around that CSR without making another; in trees where the
+  record held a raw edge array, read_instance did not make the CSR and
+  rebuild made it);
 - per stage: the induce (construction._placed_adjacency), the CSR
   (graphview.from_edge_arrays), the check that the CSR's edge array is the
   placed graph (row placed_edges_are: PlacedGraph.edges_are_placed), the

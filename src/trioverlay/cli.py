@@ -143,8 +143,8 @@ def cmd_hyper(args) -> int:
 
 def _verify_graph(rec, report: dict) -> bool:
     placed = rebuild(rec)
-    g = rec.graph() if placed is None else placed.graph
-    rederivable = placed is not None and placed.edges_are_placed(rec.edges)
+    g = rec.graph
+    rederivable = placed is not None and placed.edges_are_placed(g.edge_array())
     # the placed edges join distinct flagged cells, so a triangle of g is a
     # closed 3-walk of the cell graph: a zero certificate leaves none
     certified = rederivable and placed.product.triangle_certificate() == 0
@@ -162,6 +162,8 @@ def _verify_graph(rec, report: dict) -> bool:
         checks["n_matches_params"] = rec.params.n == rec.n
     if placed is not None:
         checks["edges_rederivable"] = rederivable
+        if rec.stats:  # the counts `build` wrote, against the rebuilt ones
+            checks["stats_match"] = rec.stats == placed.stats
         conc = concentration_report(placed.base_red, placed.base_blue,
                                     placed.placement, placed.params)
         # soft: concentration is a trend, not an invariant
@@ -214,7 +216,7 @@ def cmd_alpha(args) -> int:
     rec = read_instance(args.path)
     if rec.kind != "graph":
         raise _Usage("alpha runs on graph instances")
-    g = rec.graph()
+    g = rec.graph
     report = {"command": "alpha", "version": VERSION, "path": args.path,
               "n": rec.n, "m": g.m, "seed": rec.seed,
               "params": None if rec.params is None else rec.params.to_dict()}
@@ -298,7 +300,9 @@ def _sweep_cell(construction: str, n: int, seed: int, args):
         "ratio_greedy": repr(alpha.value / norm),
         "diag": ";".join(diag_parts),
     }
-    if args.exact:
+    if args.exact:  # a search can take minutes: say which one runs
+        print(f"# exact alpha: {construction} n={n} seed={seed} "
+              f"budget={args.budget}", file=sys.stderr, flush=True)
         res = independence_exact(g, budget=args.budget)
         if res.optimal:
             row["alpha_exact"] = res.value

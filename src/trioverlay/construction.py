@@ -481,12 +481,12 @@ def build(params: Params, seed: int) -> PlacedGraph:
 
 
 def rebuild(rec) -> PlacedGraph | None:
-    """Re-derive a stored serialize.InstanceRecord around rec.graph(), or
-    None when rec holds no provenance.
+    """Re-derive a stored serialize.InstanceRecord around rec.graph, shared,
+    or None when rec holds no provenance.
 
-    The graph is not induced: edges_are_placed(rec.edges) on the result
-    tells whether it is the placed one.  The reader has already checked the
-    bases and the placement against params and rec.n."""
+    The graph is not induced: edges_are_placed(rec.graph.edge_array()) on
+    the result tells whether it is the placed one.  The reader has already
+    checked the graph, and the bases and the placement against params."""
     if rec.provenance is None:
         return None
-    return _assemble(rec.params, rec.seed, *rec.provenance, rec.graph())
+    return _assemble(rec.params, rec.seed, *rec.provenance, rec.graph)

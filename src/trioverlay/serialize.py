@@ -63,18 +63,17 @@ def _dumps(payload: dict) -> str:
 class InstanceRecord:
     """Serializable projection of a built graph instance."""
 
-    n: int
     seed: int
-    edges: np.ndarray  # (m, 2) int64, 0-based, u < v, lex-sorted
+    graph: SimpleGraphView  # its edge_array() is the lex-sorted edge list
     params: Params | None = None
     # (base_red, base_blue, placement), whole or None; read with params only
     provenance: tuple[BaseGraph, BaseGraph, Placement] | None = None
     stats: dict = field(default_factory=dict)
     kind: ClassVar[str] = "graph"
 
-    def graph(self) -> SimpleGraphView:
-        return SimpleGraphView.from_edge_arrays(
-            self.n, self.edges[:, 0], self.edges[:, 1])
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
 
 # a record's provenance keys, by kind: all of them with params, or none
@@ -108,9 +107,8 @@ class TripleRecord:
 def graph_record(placed) -> InstanceRecord:
     """Project a builder result (construction.build output) to a record."""
     return InstanceRecord(
-        n=placed.params.n,
         seed=placed.seed,
-        edges=placed.graph.edge_array(),
+        graph=placed.graph,
         params=placed.params,
         provenance=(placed.base_red, placed.base_blue, placed.placement),
         stats=dict(placed.stats),
@@ -128,7 +126,7 @@ def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
     (0-based; w = 2 for edges, 3 for triples) and rec's sidecar payload;
     ValueError for a record with provenance but no params."""
     if rec.kind == "graph":
-        key, entries = "edges", rec.edges
+        key, entries = "edges", rec.graph.edge_array()
         extra = dict.fromkeys(_PROVENANCE["graph"])
         if rec.provenance is not None:
             red, blue, placement = rec.provenance
@@ -148,7 +146,6 @@ def _record_payload(rec) -> tuple[str, np.ndarray, dict]:
     if held and rec.params is None:  # a file the reader rejects
         raise ValueError(f"partial provenance: holds {', '.join(held)} "
                          "without params")
-    entries = np.asarray(entries, dtype=np.int64)
     return key, entries, {
         "kind": rec.kind, "n": rec.n, "m": len(entries), "seed": rec.seed,
         "params": None if rec.params is None else rec.params.to_dict(),
@@ -274,11 +271,10 @@ def _from_payload(payload: dict, source: str, body=None, body_source=None):
     with _record_in(body_source or source):
         if kind == "graph":
             edges = _entries(raw, 2, "edges") - 1
-            if len(edges) and (edges.min() < 0 or edges.max() >= n):
-                raise ValueError("edge endpoint out of range")
             if len(edges) and not (edges[:, 0] < edges[:, 1]).all():
                 raise ValueError("edges must satisfy u < v")
-            return InstanceRecord(n=n, seed=seed, edges=edges, params=params,
+            graph = SimpleGraphView.from_edge_arrays(n, *edges.T)
+            return InstanceRecord(seed=seed, graph=graph, params=params,
                                   provenance=placed, stats=stats)
         entries = _entries(raw, 3, "triples")
         a, b, c = entries.T

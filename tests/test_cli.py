@@ -15,6 +15,7 @@ import trioverlay
 import trioverlay.cli as cli
 import trioverlay.construction as construction
 from trioverlay.cli import SWEEP_SCHEMA, main
+from trioverlay.graphview import SimpleGraphView
 from trioverlay.hypergraph import TripleSystem
 from trioverlay.serialize import read_instance, write_instance
 
@@ -45,7 +46,7 @@ class TestBuild:
                     "--k", "3", "--out", path, "--json"])
         assert code == 0
         rec = read_instance(path)
-        assert rec.n == 9 and len(rec.edges) == 0
+        assert rec.n == 9 and rec.graph.m == 0
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "build"
         assert report["stats"]["edges_final"] == 0
@@ -343,9 +344,27 @@ class TestVerify:
         assert checks == {"triangle_free": True,
                           "alpha_at_least_max_degree": True,
                           "n_matches_params": True,
-                          "edges_rederivable": True}
+                          "edges_rederivable": True,
+                          "stats_match": True}
         assert report["ok"] is True
         assert len(report["concentration"]["checks"]) == 7
+
+    def test_sidecar_stats_checked(self, tmp_path, capsys):
+        # the builder's counts in the sidecar must be the rebuilt ones
+        path = str(tmp_path / "s.edges")
+        assert run(["build", "--n", "300", "--clamp", "--out", path]) == 0
+        for edited in (False, True):
+            if edited:
+                side = json.loads(open(path + ".json").read())
+                side["stats"]["edges_final"] += 5
+                side["stats"]["placed_dual"] = 999
+                with open(path + ".json", "w") as fh:
+                    fh.write(json.dumps(side))
+            capsys.readouterr()
+            assert run(["verify", path, "--json"]) == int(edited)
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert checks["stats_match"] is not edited
+            assert checks["edges_rederivable"] is True
 
 
 class TestDamagedSidecar:
@@ -590,7 +609,9 @@ class TestReadErrorsNameTheirFile:
         ("graph", "", lambda p: _edit(p, lambda ls: ls.__setitem__(1, ls[1] + " 3")),
          "mixed or malformed entry lines"),
         ("graph", "", lambda p: _edit(p, lambda ls: ls.__setitem__(1, "1 99")),
-         "edge endpoint out of range"),
+         "edge endpoint outside 0..23"),
+        ("graph", "", lambda p: _edit(p, lambda ls: ls.__setitem__(2, ls[1])),
+         "duplicate edge in edge list"),
         ("graph", ".json",
          lambda p: _edit(p + ".json", lambda s: s.update(m=s["m"] + 1), True),
          "sidecar disagrees with edge-file header"),
@@ -607,9 +628,13 @@ class TestReadErrorsNameTheirFile:
          "Expecting"),
         ("json", "", lambda p: _edit(p, lambda s: s["edges"][0].reverse(), True),
          "edges must satisfy u < v"),
+        ("json", "", lambda p: _edit(
+            p, lambda s: s["edges"].__setitem__(1, s["edges"][0]), True),
+         "duplicate edge in edge list"),
     ], ids=["u<v", "bad-header", "header-claims", "mixed-lines", "out-of-range",
-            "sidecar-disagrees", "bad-triple", "duplicate-triple",
-            "color-count", "format-marker", "json-syntax", "json-u<v"])
+            "duplicate-edge", "sidecar-disagrees", "bad-triple",
+            "duplicate-triple", "color-count", "format-marker", "json-syntax",
+            "json-u<v", "json-duplicate-edge"])
     def test_named_once(self, tmp_path, capsys, instance, damaged, damage,
                         names):
         if instance == "triples":
@@ -639,7 +664,8 @@ class TestAlpha:
         assert report["exact"]["optimal"] is True
         assert report["greedy"]["value"] <= report["exact"]["value"]
         cert = report["exact"]["certificate"]
-        edges = {tuple(e) for e in read_instance(path).edges.tolist()}
+        edges = {tuple(e) for e in
+                 read_instance(path).graph.edge_array().tolist()}
         for i, u in enumerate(cert):
             for v in cert[i + 1:]:
                 assert (u, v) not in edges
@@ -753,13 +779,13 @@ class TestTriangleCertificate:
     def test_added_edge_closing_triangles_is_counted(self, tmp_path, capsys):
         path = build_small(tmp_path, seed=4)
         rec = read_instance(path)
-        g = rec.graph()
+        g = rec.graph
         # two neighbours of a vertex: the edge between them closes a triangle
         w = int(np.argmax(g.degree_sequence()))
         u, v = g.neighbors(w)[:2].tolist()
         common = set(g.neighbors(u).tolist()) & set(g.neighbors(v).tolist())
-        keys = np.append(rec.edges @ [rec.n, 1], u * rec.n + v)
-        rec.edges = np.column_stack(np.divmod(np.sort(keys), rec.n))
+        rec.graph = SimpleGraphView.from_edges(
+            rec.n, [*g.edge_array().tolist(), (u, v)])
         write_instance(rec, path)
         capsys.readouterr()
         assert run(["verify", path, "--json"]) == 1
@@ -806,7 +832,8 @@ class TestDiagnose:
             fh.write(json.dumps(side))
         capsys.readouterr()
         assert run(["diagnose", path]) == 1
-        assert capsys.readouterr().err == "error: duplicate edge in edge list\n"
+        assert capsys.readouterr().err == \
+            f"error: {path}: duplicate edge in edge list\n"
 
     def test_requires_provenance(self, tmp_path):
         path = str(tmp_path / "bare.edges")
@@ -840,6 +867,17 @@ class TestSweep:
         assert run(argv[:-1] + [out2]) == 0
         assert open(out).read().replace("sweep.csv", "") == \
             open(out2).read().replace("sweep2.csv", "")
+
+    def test_exact_cells_announced(self, tmp_path, capsys):
+        # one stderr line before each exact search; the CSV is unchanged
+        out = tmp_path / "e.csv"
+        assert run(["sweep", "--n", "120", "--seeds", "2", "--constructions",
+                    "edge-deletion", "--exact", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"# exact alpha: edge-deletion n=120 seed={seed} budget=10000000"
+            for seed in (0, 1)]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "c59d98fc1a5114b77d6f9c6da527f11e9118ef6b9d2a6859e2dbdbc00e151c3a"
 
     def test_process_rows(self, tmp_path):
         out = str(tmp_path / "p.csv")

@@ -658,7 +658,7 @@ class TestBuild:
         held = (again.base_red, again.base_blue, again.placement)
         assert all(x is y for x, y in zip(held, rec.provenance))
         assert again.stats == placed.stats
-        assert again.graph.edge_array().tolist() == rec.edges.tolist()
+        assert again.graph is rec.graph
         rec.provenance = None
         assert construction.rebuild(rec) is None
 

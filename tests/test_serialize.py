@@ -9,12 +9,19 @@ import pytest
 from oracles import edge_list_by_split
 
 from trioverlay.construction import build, rebuild
+from trioverlay.graphview import SimpleGraphView
 from trioverlay.hypergraph import BLUE, RED, TripleSystem
 from trioverlay.params import explicit_params, feasible_params
 from trioverlay.serialize import (InstanceRecord, TripleRecord, _line_widths,
                                   _record_payload, graph_record,
                                   instances_equal, read_instance,
                                   triple_record, write_instance)
+
+
+def _bare(n, seed=0, edges=(), **kw):
+    """A graph record of n vertices and the given edges, built in memory."""
+    return InstanceRecord(seed=seed, graph=SimpleGraphView.from_edges(n, edges),
+                          **kw)
 
 
 def _placed(seed=0):
@@ -65,13 +72,14 @@ class TestGraphRoundTrip:
         write_instance(rec, path)
         lines = open(path).read().splitlines()
         n, m, seed = (int(x) for x in lines[0].split())
-        assert (n, m, seed) == (20, len(rec.edges), 1)
+        assert (n, m, seed) == (20, rec.graph.m, 1)
         assert len(lines) == m + 1
         pairs = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
         assert all(1 <= u < v <= 20 for u, v in pairs)
         assert pairs == sorted(pairs)
         # endpoints are 1-based on disk, 0-based in memory
-        assert pairs == [(int(u) + 1, int(v) + 1) for u, v in rec.edges]
+        assert pairs == [(int(u) + 1, int(v) + 1)
+                         for u, v in rec.graph.edge_array()]
 
     def test_sidecar_payload(self, tmp_path):
         rec = graph_record(_placed(seed=2))
@@ -99,12 +107,26 @@ class TestGraphRoundTrip:
                 assert (open(p1 + ".json", "rb").read()
                         == open(p2 + ".json", "rb").read())
 
+    def test_lines_out_of_order(self, tmp_path):
+        # the record is canonical: an unsorted file reads as its sorted twin
+        # and both write the same bytes
+        texts = {"u.edges": "4 2 0\n2 3\n1 2\n", "s.edges": "4 2 0\n1 2\n2 3\n"}
+        recs = []
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+            recs.append(read_instance(str(tmp_path / name)))
+            write_instance(recs[-1], str(tmp_path / ("re_" + name)))
+        assert instances_equal(*recs)
+        assert recs[0].graph.edge_array().tolist() == [[0, 1], [1, 2]]
+        for suffix in ("", ".json"):
+            assert ((tmp_path / ("re_u.edges" + suffix)).read_bytes()
+                    == (tmp_path / ("re_s.edges" + suffix)).read_bytes())
+        assert (tmp_path / "re_u.edges").read_text() == texts["s.edges"]
+
     def test_nan_params_survive(self, tmp_path):
         # n = 1 leaves beta and kappa undefined; NaN must round-trip
         par = explicit_params(n=1, N=2, p=0.5, k=1)
-        rec = InstanceRecord(n=1, seed=0,
-                             edges=np.zeros((0, 2), dtype=np.int64),
-                             params=par)
+        rec = _bare(1, params=par)
         for fmt, name in (("edgelist", "n.edges"), ("json", "n.json")):
             path = str(tmp_path / name)
             write_instance(rec, path, fmt=fmt)
@@ -113,8 +135,7 @@ class TestGraphRoundTrip:
             assert instances_equal(rec, back)
 
     def test_bare_record(self, tmp_path):
-        rec = InstanceRecord(n=4, seed=9,
-                             edges=np.array([[0, 2], [1, 3]], dtype=np.int64))
+        rec = _bare(4, seed=9, edges=[(0, 2), (1, 3)])
         path = str(tmp_path / "bare.edges")
         write_instance(rec, path)
         back = read_instance(path)
@@ -128,18 +149,17 @@ class TestGraphRoundTrip:
         os.remove(path + ".json")
         back = read_instance(path)
         assert back.params is None
-        assert (back.edges == rec.edges).all()
+        assert (back.graph.edge_array() == rec.graph.edge_array()).all()
         assert back.seed == rec.seed
         assert not instances_equal(rec, back)  # provenance was dropped
 
     def test_empty_graph(self, tmp_path):
-        rec = InstanceRecord(n=5, seed=1,
-                             edges=np.zeros((0, 2), dtype=np.int64))
+        rec = _bare(5, seed=1)
         for fmt in ("edgelist", "json"):
             path = str(tmp_path / f"e.{fmt}")
             write_instance(rec, path, fmt=fmt)
             back = read_instance(path)
-            assert back.edges.shape == (0, 2)
+            assert back.graph.edge_array().shape == (0, 2)
             assert instances_equal(rec, back)
 
 
@@ -234,8 +254,7 @@ class TestTripleRoundTrip:
 
 class TestErrors:
     def test_missing_directory(self, tmp_path):
-        rec = InstanceRecord(n=3, seed=0,
-                             edges=np.zeros((0, 2), dtype=np.int64))
+        rec = _bare(3)
         with pytest.raises(FileNotFoundError):
             write_instance(rec, str(tmp_path / "nope" / "x.edges"))
 
@@ -258,12 +277,10 @@ class TestErrors:
             assert "kind" not in {f.name for f in dataclasses.fields(cls)}
             assert cls.kind == kind
         with pytest.raises(TypeError):
-            InstanceRecord(n=3, seed=0, edges=np.zeros((0, 2), np.int64),
-                           kind="triples")
+            _bare(3, kind="triples")
 
     def test_unknown_format(self, tmp_path):
-        rec = InstanceRecord(n=3, seed=0,
-                             edges=np.zeros((0, 2), dtype=np.int64))
+        rec = _bare(3)
         with pytest.raises(ValueError):
             write_instance(rec, str(tmp_path / "x.edges"), fmt="csv")
 
@@ -406,7 +423,7 @@ class TestLineWidths:
         odd = tmp_path / "b.edges"
         odd.write_bytes(b"\r\n 4\t2 0\r\n\r\n1 2\f3\t 4\r\n\n")
         a, b = read_instance(str(plain)), read_instance(str(odd))
-        assert np.array_equal(a.edges, b.edges) and (a.n, a.seed) == (b.n, b.seed)
+        assert instances_equal(a, b)
 
 
 class TestSplitOracle:
@@ -441,21 +458,21 @@ class TestSplitOracle:
             m = int(rng.integers(0, 12))
             body = np.sort([rng.choice(n, width, replace=False) + 1
                             for _ in range(m)], axis=-1).reshape(m, width)
-            if width == 3:  # a repeated triple line is an error
-                first = np.unique(body, axis=0, return_index=True)[1]
-                body = body[np.sort(first)]
-                m = len(body)
+            # a repeated line is an error
+            body = body[np.sort(np.unique(body, axis=0, return_index=True)[1])]
+            m = len(body)
             seed = int(rng.integers(0, 2**63 - 1))  # up to int64 max - 1
             text = self._text(rng, [[n, m, seed], *body.tolist()])
             path.write_bytes(text.encode("ascii"))
             n_ref, m_ref, seed_ref, body_ref = edge_list_by_split(str(path))
             rec = read_instance(str(path))
             # with no entry line the file cannot tell triples from edges
-            entries = rec.edges if rec.kind == "graph" else rec.system.triples
+            entries = (rec.graph.edge_array() if rec.kind == "graph"
+                       else rec.system.triples)
             assert (rec.n, len(entries), rec.seed) == (n_ref, m_ref, seed_ref), \
                 repr(text)
-            # triples come back lex-sorted, whatever the line order
-            want = np.unique(body_ref, axis=0) if width == 3 else body_ref
+            # entries come back lex-sorted, whatever the line order
+            want = np.unique(body_ref, axis=0)
             assert np.array_equal(entries.ravel() + 1, want.ravel()), \
                 repr(text)
             assert (n_ref, m_ref, seed_ref) == (n, m, seed)
@@ -480,16 +497,11 @@ class TestInstancesEqual:
         assert not instances_equal(a, d)
 
     def test_kind_mismatch(self):
-        g = InstanceRecord(n=4, seed=0,
-                           edges=np.zeros((0, 2), dtype=np.int64))
+        g = _bare(4)
         t = TripleRecord(seed=0, system=TripleSystem.from_arrays(4, [], []))
         assert not instances_equal(g, t)
 
     def test_nan_stats(self):
-        a = InstanceRecord(n=2, seed=0,
-                           edges=np.zeros((0, 2), dtype=np.int64),
-                           stats={"x": float("nan")})
-        b = InstanceRecord(n=2, seed=0,
-                           edges=np.zeros((0, 2), dtype=np.int64),
-                           stats={"x": float("nan")})
+        a = _bare(2, stats={"x": float("nan")})
+        b = _bare(2, stats={"x": float("nan")})
         assert instances_equal(a, b)
