@@ -144,7 +144,7 @@ def cmd_hyper(args) -> int:
 def _verify_graph(rec, report: dict) -> bool:
     placed = rebuild(rec)
     g = rec.graph
-    rederivable = placed is not None and placed.edges_are_placed(g.edge_array())
+    rederivable = placed is not None and placed.edges_are_placed()
     # the placed edges join distinct flagged cells, so a triangle of g is a
     # closed 3-walk of the cell graph: a zero certificate leaves none
     certified = rederivable and placed.product.triangle_certificate() == 0
@@ -448,14 +448,16 @@ def _apply_config(argv: list[str]) -> list[str]:
     """Splice config-file pairs in front of the explicit flags (last wins).
 
     ``--config FILE`` or ``--config=FILE`` may stand before or after the
-    subcommand; it is taken out of argv and the file's pairs go right after
-    the subcommand.
+    subcommand, once; it is taken out of argv and the file's pairs go right
+    after the subcommand.
     """
-    for i, arg in enumerate(argv):
-        if arg == "--config" or arg.startswith("--config="):
-            break
-    else:
+    at = [i for i, arg in enumerate(argv)
+          if arg == "--config" or arg.startswith("--config=")]
+    if not at:
         return argv
+    if len(at) > 1:
+        raise _Usage("--config given more than once")
+    i, arg = at[0], argv[at[0]]
     if arg == "--config":
         if i + 1 >= len(argv):
             raise _Usage("--config needs a file path")

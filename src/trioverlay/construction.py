@@ -373,19 +373,15 @@ class PlacedGraph:
     def n(self) -> int:
         return self.graph.n
 
-    def edges_are_placed(self, edges) -> bool:
-        """True iff edges is the placed graph's edge array (u < v, sorted),
-        without inducing it: keys u * n + v strictly increasing with
-        u < v < n, every pair flagged, and stats["edges_final"] pairs."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        u, v = edges.T
-        rows, cols, n = self.placement.rows, self.placement.cols, self.n
-        if not ((u >= 0).all() and (u < v).all() and (v < n).all()
-                and (np.diff(u * n + v) > 0).all()):
-            return False
+    def edges_are_placed(self) -> bool:
+        """True iff graph is the placed graph, without inducing it: every
+        edge joins flagged cells, and there are stats["edges_final"] of them.
+        graph is a SimpleGraphView, so its edges are distinct."""
+        u, v = self.graph.edge_array().T
+        rows, cols = self.placement.rows, self.placement.cols
         red, blue = self.product.pair_flags(rows[u], cols[u], rows[v], cols[v])
         return (bool((red | blue).all())
-                and len(edges) == self.stats["edges_final"])
+                and len(u) == self.stats["edges_final"])
 
 
 def _fibers(coords: np.ndarray, N: int):
@@ -475,7 +471,6 @@ def _assemble(params: Params, seed: int | None, gr: BaseGraph, gb: BaseGraph,
 
 def build(params: Params, seed: int) -> PlacedGraph:
     """Full pipeline for one (params, seed) instance."""
-    params.require_injectable()
     gr, gb = sample_base_graphs(params, seed)
     return _assemble(params, seed, gr, gb, sample_injection(params, seed))
 
@@ -484,9 +479,9 @@ def rebuild(rec) -> PlacedGraph | None:
     """Re-derive a stored serialize.InstanceRecord around rec.graph, shared,
     or None when rec holds no provenance.
 
-    The graph is not induced: edges_are_placed(rec.graph.edge_array()) on
-    the result tells whether it is the placed one.  The reader has already
-    checked the graph, and the bases and the placement against params."""
+    The graph is not induced: edges_are_placed() on the result tells
+    whether it is the placed one.  The reader has already checked the
+    graph, and the bases and the placement against params."""
     if rec.provenance is None:
         return None
     return _assemble(rec.params, rec.seed, *rec.provenance, rec.graph)

@@ -86,9 +86,13 @@ class SimpleGraphView:
         return bool(i < row.size and row[i] == v)
 
     def edge_array(self) -> np.ndarray:
-        """(m, 2) int array of edges with u < v, lexicographically sorted."""
+        """(m, 2) int array of edges with u < v, lexicographically sorted;
+        AssertionError unless half of the CSR's entries lie above the
+        diagonal, as in every symmetric one."""
         heads = np.repeat(np.arange(self.n), np.diff(self.indptr))
         mask = heads < self.indices
+        if 2 * np.count_nonzero(mask) != self.indices.size:
+            raise AssertionError("adjacency corrupt: CSR entries above the diagonal are not half")
         return np.column_stack([heads[mask], self.indices[mask]])
 
     def to_dense(self) -> np.ndarray:
@@ -126,6 +130,4 @@ def triangle_apexes(n: int, us, vs) -> np.ndarray:
 def count_triangles(g: SimpleGraphView) -> int:
     """Exact triangle count, each triangle once at its two least vertices."""
     edges = g.edge_array()
-    if 2 * len(edges) != g.indices.size:
-        raise AssertionError("adjacency corrupt: CSR entries above the diagonal are not half")
     return int(triangle_apexes(g.n, edges[:, 0], edges[:, 1]).sum())

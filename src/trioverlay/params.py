@@ -182,24 +182,21 @@ def derive_params(n: int, epsilon: float = 0.1, beta: float = 0.5,
     return _validate(par)
 
 
-def explicit_params(n: int, N: int, p: float, k: int, epsilon: float = 0.1,
-                    t1: float | None = None, t2: float | None = None,
-                    t3: float | None = None) -> Params:
+def explicit_params(n: int, N: int, p: float, k: int,
+                    epsilon: float = 0.1) -> Params:
     """Take (n, N, p, k) verbatim; for desk-scale instances.
 
-    Cutoffs default to (3/4, 1/2, 1/4) * k because the asymptotic formulas
-    break the chain t1 < k at small n.  beta and kappa are back-solved from
-    p and k for provenance (NaN when n is too small to define them).
+    The cutoffs are fixed at (3/4, 1/2, 1/4) * k because the asymptotic
+    formulas break the chain t1 < k at small n; a record with other cutoffs
+    reads through Params.from_dict.  beta and kappa are back-solved from p
+    and k for provenance (NaN when n is too small to define them).
     """
     ln = math.log(n) if n >= 2 else 0.0
     beta = p * math.sqrt(n / ln) if ln > 0 else math.nan
     kappa = k / math.sqrt(n * ln) if ln > 0 else math.nan
     par = Params(
         n=n, N=N, p=p, k=k, epsilon=epsilon, beta=beta, kappa=kappa,
-        t1=0.75 * k if t1 is None else t1,
-        t2=0.50 * k if t2 is None else t2,
-        t3=0.25 * k if t3 is None else t3,
-        mode="explicit",
+        t1=0.75 * k, t2=0.50 * k, t3=0.25 * k, mode="explicit",
     )
     _validate(par).require_injectable()
     return par

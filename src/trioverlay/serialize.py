@@ -251,6 +251,8 @@ def _from_payload(payload: dict, source: str, body=None, body_source=None):
         if kind not in _PROVENANCE:
             raise ValueError(f"unknown record kind {kind!r}")
         n = _integer(payload["n"], "n")
+        if n < 0:
+            raise ValueError(f"n = {n} is negative")
         seed = _integer(payload.get("seed", 0), "seed")
         params = payload.get("params")
         params = None if params is None else Params.from_dict(params)

@@ -18,7 +18,7 @@ from trioverlay.analysis import (CLASS_NAMES, choose2, classify_sets,
                                  f_function, sample_k_sets)
 from trioverlay.construction import (BaseGraph, apply_deletion_rule, build,
                                      conormal_product, sample_injection)
-from trioverlay.params import derive_params, explicit_params
+from trioverlay.params import Params, derive_params, explicit_params
 
 from oracles import closed_pairs_bruteforce, f_reference
 
@@ -158,8 +158,9 @@ class TestClassifySets:
         vals = sorted({int(s) for s in sizes if 0 < s < 6})
         assert vals, "degenerate draw; pick another seed"
         s = vals[len(vals) // 2]
-        par2 = explicit_params(n=24, N=6, p=0.55, k=6,
-                               t1=s + 0.5, t2=float(s), t3=s - 0.5)
+        d = explicit_params(n=24, N=6, p=0.55, k=6).to_dict()
+        par2 = Params.from_dict({**d, "t1": s + 0.5, "t2": float(s),
+                                 "t3": s - 0.5})
         shim = SimpleNamespace(params=par2, n=inst.n,
                                placement=inst.placement,
                                base_red=inst.base_red,
@@ -168,8 +169,8 @@ class TestClassifySets:
         at = np.nonzero(cl2.sizes == s)[0]
         assert at.size
         assert (cl2.labels[at] == 2).all()  # == t2 -> medium, not large
-        par3 = explicit_params(n=24, N=6, p=0.55, k=6,
-                               t1=s + 1.0, t2=s + 0.5, t3=float(s))
+        par3 = Params.from_dict({**d, "t1": s + 1.0, "t2": s + 0.5,
+                                 "t3": float(s)})
         shim.params = par3
         cl3 = classify_sets(I, shim)
         assert (cl3.labels[np.nonzero(cl3.sizes == s)[0]] == 3).all()
@@ -208,8 +209,8 @@ class TestClassifySets:
 
     def test_h_projection_sums(self):
         # drop the cutoffs so most boxes land in the huge class
-        par = explicit_params(n=30, N=6, p=0.6, k=6,
-                              t1=1.5, t2=1.0, t3=0.5)
+        d = explicit_params(n=30, N=6, p=0.6, k=6).to_dict()
+        par = Params.from_dict({**d, "t1": 1.5, "t2": 1.0, "t3": 0.5})
         inst = build(par, seed=4)
         rng = np.random.default_rng(14)
         I = _random_I(inst, rng)

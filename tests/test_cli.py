@@ -594,6 +594,12 @@ def _reverse_first_entry(lines):
     lines[1] = " ".join(reversed(lines[1].split()))
 
 
+def _rewrite_json(path, **payload):
+    """Replace a JSON instance file with a bare record of the payload."""
+    with open(path, "w") as fh:
+        json.dump({"format": "json", **payload}, fh)
+
+
 class TestReadErrorsNameTheirFile:
     """A read error names, once, the file that holds the fault: the edge
     list or JSON file for its header and entries, the sidecar for its own
@@ -631,10 +637,16 @@ class TestReadErrorsNameTheirFile:
         ("json", "", lambda p: _edit(
             p, lambda s: s["edges"].__setitem__(1, s["edges"][0]), True),
          "duplicate edge in edge list"),
+        ("json", "", lambda p: _rewrite_json(p, kind="graph", n=-1, edges=[]),
+         "n = -1 is negative"),
+        ("json", "", lambda p: _rewrite_json(p, kind="triples", n=-1,
+                                             triples=[], colors=""),
+         "n = -1 is negative"),
     ], ids=["u<v", "bad-header", "header-claims", "mixed-lines", "out-of-range",
             "duplicate-edge", "sidecar-disagrees", "bad-triple",
             "duplicate-triple", "color-count", "format-marker", "json-syntax",
-            "json-u<v", "json-duplicate-edge"])
+            "json-u<v", "json-duplicate-edge", "json-negative-n",
+            "json-triples-negative-n"])
     def test_named_once(self, tmp_path, capsys, instance, damaged, damage,
                         names):
         if instance == "triples":
@@ -1026,6 +1038,22 @@ class TestConfig:
         assert run(["build", "--config", str(cfg)]) == 2
         assert run(["build", "--config", str(tmp_path / "missing.cfg")]) == 2
         assert run(["build", "--config"]) == 2
+
+    def test_config_given_twice(self, tmp_path, capsys):
+        # a second file was left to the subcommand's help-only option
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("n=300\nclamp=1\nseed=0\n")
+        b.write_text("seed=5\n")
+        out = tmp_path / "never.edges"
+        for first, second in ((a, b), (b, a)):
+            for argv in (["build", "--config", str(first), "--config",
+                          str(second)],
+                         [f"--config={first}", "build", f"--config={second}"]):
+                capsys.readouterr()
+                assert run(argv + ["--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err == "usage error: --config given more than once\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["max_steps", "max-steps"])
     def test_underscore_keys(self, tmp_path, key):

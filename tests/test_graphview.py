@@ -131,6 +131,9 @@ class TestTriangleApexes:
         g = SimpleGraphView(3, np.array([0, 1, 1, 1]), np.array([1], np.int32))
         with pytest.raises(AssertionError, match="adjacency corrupt"):
             count_triangles(g)
+        # the check is the edge list's, so every reader of it gets it
+        with pytest.raises(AssertionError, match="adjacency corrupt"):
+            g.edge_array()
 
 
 class TestPackedRows:

@@ -107,12 +107,15 @@ class TestExplicit:
             explicit_params(n=9, N=1, p=0.5, k=3)  # N < 2
 
     def test_cutoff_override_and_chain(self):
-        par = explicit_params(n=16, N=4, p=0.3, k=8, t1=5.0, t2=3.0, t3=1.0)
+        # the cutoffs are fixed; a record states its own, chain checked
+        d = explicit_params(n=16, N=4, p=0.3, k=8).to_dict()
+        par = Params.from_dict({**d, "t1": 5.0, "t2": 3.0, "t3": 1.0})
         assert (par.t1, par.t2, par.t3) == (5.0, 3.0, 1.0)
-        with pytest.raises(ValueError):
-            explicit_params(n=16, N=4, p=0.3, k=8, t1=2.0, t2=3.0, t3=1.0)
-        with pytest.raises(ValueError):
-            explicit_params(n=16, N=4, p=0.3, k=8, t1=9.0, t2=3.0, t3=1.0)
+        for t1 in (2.0, 9.0):
+            with pytest.raises(ValueError, match="cutoff chain violated"):
+                Params.from_dict({**d, "t1": t1, "t2": 3.0, "t3": 1.0})
+        with pytest.raises(TypeError):
+            explicit_params(n=16, N=4, p=0.3, k=8, t1=5.0)
 
     def test_slacks_pinned_as_in_derived_mode(self):
         par = explicit_params(n=16, N=4, p=0.3, k=8, epsilon=0.2)
