@@ -40,11 +40,21 @@ equals derive_params wherever that is buildable), the file records:
 - exact alpha: independence.independence_exact, in process, on EXACT_SHAPES
   (each built by construction.build at its seeds): the time of all the
   seeds of a shape, their node counts, values and optimal flags, and the
-  sha256 of their certificates.
+  sha256 of their certificates;
+- the triangle-free process: baselines.triangle_free_process(n, 0), in
+  process, at each of PROCESS_SIZES, with the sha256 of its edge array and
+  stats;
+- a sweep: CLI sweep on SWEEP_ARGV (the argv of perfbench's desk sweep at
+  its base sizes), with the sha256 of the CSV it writes.
 
 Each figure is the median of REPEATS runs.  --src picks the tree whose
 package is timed (default: this checkout's src/), so one script compares
 two trees on one machine.  The file goes to the repository root.
+
+Machine load moves these figures by as much as 20-35% between runs made one
+after the other, more than a tree may.  To compare two trees, run them
+alternately, parent, change, parent, change (the parent through --src), and
+keep the second pair.
 """
 
 import argparse
@@ -70,6 +80,10 @@ HYPER_SHAPES = ((7, 40, 0.3, 10), (8, 50, 0.3, 12))
 # (n, N, p, k, seeds): pool seeds 0-7 of perfbench's desk exact-alpha
 # instances, and one n = 200 instance
 EXACT_SHAPES = ((120, 12, 0.3, 20, range(8)), (200, 15, 0.3, 30, (0,)))
+# the triangle-free process at perfbench's desk sweep sizes and above
+PROCESS_SIZES = (150, 253, 1000)
+SWEEP_ARGV = ("sweep", "--n", "150,250", "--seeds", "1", "--constructions",
+              "overlay,edge-deletion,process")
 REPEATS = 3
 
 MACHINE = """
@@ -169,6 +183,19 @@ print(json.dumps({"exact": t1 - t0, "nodes": [r.nodes for r in results],
                   "certificates_sha256": hashlib.sha256(certs).hexdigest()}))
 """
 
+PROCESS = """
+import hashlib, json, sys
+from time import perf_counter
+from trioverlay.baselines import triangle_free_process
+t0 = perf_counter()
+res = triangle_free_process(int(sys.argv[1]), 0)
+t1 = perf_counter()
+stats = json.dumps(res.stats, sort_keys=True).encode()
+print(json.dumps({"triangle_free_process": t1 - t0, "m": res.graph.m,
+                  "sha256": hashlib.sha256(
+                      res.graph.edge_array().tobytes() + stats).hexdigest()}))
+"""
+
 
 def python(env, work: Path, *args) -> str:
     """stdout of a fresh interpreter run in the work directory."""
@@ -259,6 +286,21 @@ def bench_exact(env, shape: tuple, work: Path) -> dict:
                                              "certificates_sha256")}}
 
 
+def bench_process(env, n: int, work: Path) -> dict:
+    runs = [json.loads(python(env, work, "-c", PROCESS, str(n)))
+            for _ in range(REPEATS)]
+    return {"n": n, "m": runs[0]["m"],
+            "stage_s": medians(runs, ("triangle_free_process",)),
+            "sha256": runs[0]["sha256"]}
+
+
+def bench_sweep(env, work: Path) -> dict:
+    path = "sweep.csv"  # relative to work, like the instance files
+    cli = cli_medians(env, work, {"sweep": [*SWEEP_ARGV, "--out", path]})
+    return {"argv": list(SWEEP_ARGV), "cli_s": cli,
+            "csv_sha256": hashlib.sha256((work / path).read_bytes()).hexdigest()}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
@@ -268,7 +310,7 @@ def main() -> None:
     report = {"label": args.label, "seed": 0, "repeats": REPEATS,
               **json.loads(python(env, ROOT, "-c", MACHINE)),
               "blas_threads": int(THREADS), "sizes": [], "hyper": [],
-              "exact": []}
+              "exact": [], "process": []}
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
             report["sizes"].append(bench_size(env, n, Path(work)))
@@ -279,6 +321,11 @@ def main() -> None:
         for shape in EXACT_SHAPES:
             report["exact"].append(bench_exact(env, shape, Path(work)))
             print(json.dumps(report["exact"][-1]), file=sys.stderr)
+        for n in PROCESS_SIZES:
+            report["process"].append(bench_process(env, n, Path(work)))
+            print(json.dumps(report["process"][-1]), file=sys.stderr)
+        report["sweep"] = bench_sweep(env, Path(work))
+        print(json.dumps(report["sweep"]), file=sys.stderr)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(out)

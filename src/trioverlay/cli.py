@@ -18,6 +18,7 @@ flags; command-line flags override the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -383,7 +384,9 @@ def _add_param_flags(sp):
     sp.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and kept for later ones."""
     parser = argparse.ArgumentParser(
         prog="trioverlay",
         description="two-layer overlay constructions of triangle-free graphs")
@@ -392,17 +395,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build", help="build one overlay graph instance")
     _add_param_flags(sp)
     _add_common(sp)
-    sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("hyper", help="build one reduced triple system")
     _add_param_flags(sp)
     _add_common(sp)
-    sp.set_defaults(func=cmd_hyper)
 
     sp = sub.add_parser("verify", help="check invariants of an instance file")
     sp.add_argument("path")
     _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("alpha", help="independence bounds for an instance file")
     sp.add_argument("path")
@@ -411,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=_count(1), default=DEFAULT_BUDGET)
     sp.add_argument("--restarts", type=_count(1), default=3)
     _add_common(sp)
-    sp.set_defaults(func=cmd_alpha)
 
     sp = sub.add_parser("diagnose",
                         help="concentration + k-set classification report")
@@ -421,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-adversarial", action="store_true")
     _add_common(sp)
-    sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("sweep", help="CSV comparison across constructions")
     sp.add_argument("--n", default=None,
@@ -437,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-steps", type=_count(0), default=None)
     sp.add_argument("--out", default=None)
     _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -495,10 +492,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"usage error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a cmd_<name> replaced on the module runs
+        return globals()[f"cmd_{args.cmd}"](args)
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import trioverlay
+from trioverlay import baselines
 from trioverlay.baselines import edge_deletion_baseline, triangle_free_process
 from trioverlay.graphview import count_triangles
 from trioverlay.params import feasible_params
@@ -196,6 +197,30 @@ def test_process_matches_scalar():
     for n in (150, 253):
         assert_same_result(triangle_free_process(n, seed=0),
                            triangle_free_process_scalar(n, seed=0))
+    # cuts that land inside a chunk, at sweep sizes
+    for n, seed, max_steps in ((150, 1, 1000), (253, 2, 3000)):
+        got = triangle_free_process(n, seed, max_steps=max_steps)
+        assert got.stats["steps"] == max_steps and not got.stats["maximal"]
+        assert_same_result(
+            got, triangle_free_process_scalar(n, seed, max_steps=max_steps))
+
+
+@pytest.mark.parametrize("n, cut", [(30, 50), (150, 1000)])
+@pytest.mark.parametrize("chunk", [1, 65536])
+def test_process_does_not_depend_on_chunks(monkeypatch, n, cut, chunk):
+    # chunk ends only decide when the closed-pair filter is brought up to
+    # date; chunks of one draw and of 65,536 draws agree with the default
+    # chunks, with and without a step cut
+    want = {max_steps: triangle_free_process(n, 3, max_steps=max_steps)
+            for max_steps in (None, cut)}
+    monkeypatch.setattr(baselines, "_CHUNK_MIN", chunk)
+    monkeypatch.setattr(baselines, "_CHUNK_MAX", chunk)
+    for max_steps, res in want.items():
+        got = triangle_free_process(n, 3, max_steps=max_steps)
+        assert_same_result(got, res)
+        assert [type(v) for v in got.stats.values()] == \
+            [type(v) for v in res.stats.values()] == [int, int, int, bool]
+    assert want[None].stats["maximal"] and not want[cut].stats["maximal"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 253, 2**31, 2**33])
